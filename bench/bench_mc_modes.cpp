@@ -224,7 +224,7 @@ void runVisitedRow(const char *Label, const ModuleIR &Module,
 
 /// One parallel-scaling measurement: same search, N workers. The
 /// baseline seconds come from the Jobs=1 row so the speedup column is
-/// relative to the unchanged sequential engine.
+/// relative to a single worker.
 double runParallelRow(const char *Label, const ModuleIR &Module,
                       const VisitedConfig &Cfg, unsigned Jobs,
                       double BaselineSec) {
@@ -372,8 +372,8 @@ int main() {
               "jobs", "stored", "sec", "states/s", "speedup", "verdict");
   // A larger instance than the mode table: parallel speedup needs a
   // state space that takes real time, or thread startup dominates.
-  // Jobs=1 is the untouched sequential engine; every parallel row must
-  // report the identical stored-state count (the determinism guarantee).
+  // Jobs=1 is a single worker; every parallel row must report the
+  // identical stored-state count (the determinism guarantee).
   auto Big = compileModel(makeModel(40, /*SeedBug=*/false));
   for (size_t I = 0; I != 3; ++I) { // exact, exact+collapse, hash64
     const VisitedConfig &Cfg = VisitedConfigs[I];

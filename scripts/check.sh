@@ -35,8 +35,8 @@ echo "== esplint: VMMC firmware =="
 ESPMC="$BUILD_DIR/src/tools/espmc"
 
 echo "== espmc: --por golden harnesses =="
-# Clean per-process harnesses must stay clean under reduction, both
-# sequentially and with the parallel engine (exit 0 = verified OK; the
+# Clean per-process harnesses must stay clean under reduction, with one
+# worker and with four (exit 0 = verified OK; the
 # differential count assertions live in tests/test_mc_por.cpp).
 for process in translator pageTable; do
   "$ESPMC" --process "$process" --por \

@@ -61,18 +61,18 @@ void Parser::skipToSync() {
         return;
       --Depth;
       break;
-    case TokenKind::KwProcess:
-    case TokenKind::KwChannel:
-    case TokenKind::KwType:
-    case TokenKind::KwInterface:
-      if (Depth == 0)
-        return;
-      break;
     default:
+      if (Depth == 0 && atTopLevelKeyword())
+        return;
       break;
     }
     advance();
   }
+}
+
+bool Parser::atTopLevelKeyword() const {
+  return tok().is(TokenKind::KwProcess) || tok().is(TokenKind::KwChannel) ||
+         tok().is(TokenKind::KwType) || tok().is(TokenKind::KwInterface);
 }
 
 //===----------------------------------------------------------------------===//
@@ -430,6 +430,11 @@ Stmt *Parser::parseBlock() {
     Stmt *S = parseStmt();
     if (!S) {
       skipToSync();
+      // The sync stops in front of a top-level keyword without taking
+      // it: the block was never closed, so leave it and let the caller
+      // resume at the declaration.
+      if (atTopLevelKeyword())
+        break;
       continue;
     }
     Body.push_back(S);

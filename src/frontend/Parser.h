@@ -51,6 +51,9 @@ private:
   bool consumeIf(TokenKind Kind);
   bool expect(TokenKind Kind, const char *Context);
   void skipToSync();
+  /// True at `process`/`channel`/`type`/`interface`, where skipToSync
+  /// stops at depth 0 without consuming.
+  bool atTopLevelKeyword() const;
 
   // Top level.
   void parseTypeDecl();

@@ -76,13 +76,15 @@ struct McOptions {
   uint64_t SimulationRuns = 256;
   unsigned SimulationDepth = 4096;
   uint64_t Seed = 0x9e3779b97f4a7c15ULL;
-  /// Worker threads. 1 = the sequential engine (unchanged code path);
-  /// 0 = hardware concurrency. N > 1 runs the parallel engine: N
-  /// Machines over the shared read-only ModuleIR, disjoint subtrees
-  /// handed out as (snapshot, move-prefix) work items with
-  /// work-stealing, and a concurrent visited set. For completed
-  /// exhaustive searches the verdict and StatesStored/StatesExplored/
-  /// Transitions are identical to Jobs == 1.
+  /// Worker threads of the search engine (src/mc/ParallelSearch.h);
+  /// 0 = hardware concurrency. N workers each run a Machine over the
+  /// shared read-only ModuleIR; disjoint subtrees are handed out as
+  /// (snapshot, move-prefix) work items with work-stealing, over one
+  /// shared visited set. One worker never hands work out, so its DFS is
+  /// the classic single-stack search. For completed exhaustive searches
+  /// the verdict and StatesStored/StatesExplored/Transitions are
+  /// identical at any N. Under --por, N >= 2 falls back to a coarser
+  /// cycle proviso and keeps less of the reduction (docs/modelchecker.md).
   unsigned Jobs = 1;
   /// Swarm verification (BitState mode with Jobs > 1 only): instead of
   /// one cooperative search, each worker runs an independent full
@@ -108,10 +110,10 @@ struct McOptions {
   /// expansion, so delivery interleavings collapse to representatives.
   uint32_t EnvSendBudget = 0;
   /// Environment model for open programs (not owned). Shared read-only
-  /// across worker Machines when Jobs > 1, so implementations must be
+  /// across the search's worker Machines, so implementations must be
   /// thread-safe for const calls (BoundedEnvModel is).
   const EnvModel *Env = nullptr;
-  /// Optional live progress sink (not owned). The engines publish
+  /// Optional live progress sink (not owned). The engine publishes
   /// explored/stored/transition counts and frontier depth into it while
   /// searching, so a ticker thread can report states/sec. Observe-only:
   /// never affects verdicts, counts, or exploration order.
@@ -143,12 +145,11 @@ struct McResult {
   uint64_t ReplayedMoves = 0;    ///< Moves re-applied restoring checkpoints.
   double Seconds = 0.0;
 
-  // Parallel-search accounting (JobsUsed == 1 for the sequential engine).
+  // Per-worker accounting.
   unsigned JobsUsed = 1;
-  /// States explored per worker (empty for the sequential engine).
+  /// States explored per worker.
   std::vector<uint64_t> WorkerExplored;
-  /// Work items each worker popped from a queue (its own plus steals;
-  /// empty for the sequential engine).
+  /// Work items each worker popped from a queue (its own plus steals).
   std::vector<uint64_t> WorkerItems;
   /// Work items handed off between workers (work-stealing traffic).
   uint64_t SharedWorkItems = 0;

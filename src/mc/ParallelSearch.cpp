@@ -1,4 +1,4 @@
-//===--- ParallelSearch.cpp - Multi-core model-checking engine -------------==//
+//===--- ParallelSearch.cpp - The model checker's search engine ------------==//
 //
 // Part of the esplang project (ESP, PLDI 2001 reproduction).
 //
@@ -7,7 +7,6 @@
 #include "mc/ParallelSearch.h"
 
 #include "mc/Por.h"
-#include "mc/SearchCommon.h"
 #include "mc/StateStore.h"
 #include "support/StringExtras.h"
 
@@ -21,11 +20,71 @@
 #include <mutex>
 #include <random>
 #include <thread>
+#include <unordered_map>
 
 using namespace esp;
 using namespace esp::mc_detail;
 
+MachineOptions esp::mc_detail::verifyMachineOptions(const McOptions &Options) {
+  MachineOptions MO;
+  MO.MaxObjects = Options.MaxObjects;
+  MO.ReuseObjectIds = true;
+  MO.DeepCopyTransfers = true;
+  MO.EnvSendBudget = Options.EnvSendBudget;
+  return MO;
+}
+
 namespace {
+
+//===----------------------------------------------------------------------===//
+// Violation checks
+//===----------------------------------------------------------------------===//
+
+/// Checks the machine's current state for violations (runtime error or
+/// leaked objects); fills \p Result's violation fields and returns true
+/// when one is found.
+bool checkStateViolation(Machine &M, const McOptions &Options,
+                         McResult &Result) {
+  if (M.error()) {
+    Result.Verdict = McVerdict::Violation;
+    Result.Violation = M.error();
+    return true;
+  }
+  if (Options.CheckLeaks) {
+    unsigned Leaked = M.countLeakedObjects();
+    if (Leaked > 0) {
+      Result.Verdict = McVerdict::Violation;
+      Result.LeakedObjects = Leaked;
+      Result.Violation.Kind = RuntimeErrorKind::OutOfObjects;
+      Result.Violation.Message =
+          std::to_string(Leaked) + " object(s) leaked (live but "
+                                   "unreachable from any process)";
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Deadlock check over an already-enumerated move list: no enabled move
+/// while some process is still blocked.
+bool checkDeadlockViolation(Machine &M, const std::vector<Move> &Moves,
+                            const McOptions &Options, McResult &Result) {
+  if (!Options.CheckDeadlock || !Moves.empty() || M.error())
+    return false;
+  bool AnyBlocked = false;
+  for (unsigned I = 0, E = M.numProcesses(); I != E; ++I)
+    AnyBlocked |= M.proc(I).St == ProcState::Status::Blocked;
+  if (!AnyBlocked)
+    return false; // All processes finished: normal termination.
+  if (M.stuckOnEnvBudget())
+    return false; // Finite workload consumed: quiescence, not deadlock.
+  Result.Verdict = McVerdict::Violation;
+  Result.Deadlock = true;
+  Result.Violation.Kind = RuntimeErrorKind::None;
+  Result.Violation.Message = "deadlock: blocked processes with no "
+                             "enabled move";
+  return true;
+}
 
 //===----------------------------------------------------------------------===//
 // Work items and the shared queue
@@ -121,8 +180,8 @@ private:
 /// Collects violation candidates from the workers; the winner is the
 /// lexicographically smallest move-index path (an ancestor beats its
 /// descendants, a left sibling beats a right one) — i.e. the candidate
-/// the sequential DFS would have reported first, among those found
-/// before the stop flag propagated.
+/// a single worker would have reported first, among those found before
+/// the stop flag propagated.
 class ViolationSlot {
 public:
   void offer(const McResult &V, std::vector<Move> Moves,
@@ -201,7 +260,7 @@ struct WorkerCtx {
 };
 
 //===----------------------------------------------------------------------===//
-// The cooperative parallel DFS
+// The cooperative DFS
 //===----------------------------------------------------------------------===//
 
 class ParallelDfs {
@@ -226,14 +285,12 @@ public:
   McResult runSwarm();
 
 private:
-  ConcurrentVisitedSet makeVisited(uint64_t BitSeed) const {
+  VisitedSet makeVisited() const {
     if (Options.Mode == SearchMode::BitState)
-      return ConcurrentVisitedSet::bitState(
-          clampedBitStateBits(Options.BitStateBits), BitSeed);
+      return VisitedSet::bitState(clampedBitStateBits(Options.BitStateBits));
     if (Options.Visited == VisitedKind::Exact)
-      return ConcurrentVisitedSet::exact();
-    return ConcurrentVisitedSet::hashCompact(Options.Visited ==
-                                             VisitedKind::Hash128);
+      return VisitedSet::exact();
+    return VisitedSet::hashCompact(Options.Visited == VisitedKind::Hash128);
   }
 
   /// Visited-set key of W's current machine state: the flat canonical
@@ -250,10 +307,9 @@ private:
     return W.Key;
   }
 
-  void processItem(WorkerCtx &W, const WorkItem &Item,
-                   ConcurrentVisitedSet &Visited, bool AllowOffload,
-                   bool Shuffle, ConcurrentVisitedSet *UnionTable);
-  void workerMain(unsigned Wid, ConcurrentVisitedSet &Visited);
+  void processItem(WorkerCtx &W, const WorkItem &Item, VisitedSet &Visited,
+                   bool WholeSearch, bool Shuffle, VisitedSet *UnionTable);
+  void workerMain(unsigned Wid, VisitedSet &Visited);
   void aggregate(McResult &Result, const std::vector<WorkerStats> &Stats);
 
   const ModuleIR &Module;
@@ -266,37 +322,45 @@ private:
   WorkQueue Queue;
   ViolationSlot Slot;
   std::unique_ptr<PorContext> Por;
-  ConcurrentStateCompressor Compressor;
+  StateCompressor Compressor;
   std::vector<WorkerStats> Done;
   std::atomic<uint64_t> GlobalExplored{0};
   std::atomic<bool> Stop{false};
   std::atomic<bool> LimitHit{false};
 };
 
-/// One DFS level (same shape as the sequential engine, plus the move
-/// index for the deterministic tie-break).
+/// One DFS level. Frames do not carry machine snapshots: the state of a
+/// frame is re-derived on demand from the nearest checkpoint by
+/// replaying the Taken moves of the frames in between.
 struct Frame {
-  Move Taken;
-  uint32_t TakenIndex = 0;
+  Move Taken; ///< Move that produced this frame's state (root: unused).
+  uint32_t TakenIndex = 0; ///< Its index, for the violation tie-break.
   std::vector<Move> Moves;
   size_t NextMove = 0;
   /// Moves[0..AmpleCount) is the ample prefix; equals Moves.size()
   /// without --por or when no eligible ample subset exists.
   size_t AmpleCount = 0;
-  /// Cycle proviso (C3): a successor's visited-set insert failed, so
-  /// the frame expands its full move list after the ample prefix.
+  /// Cycle proviso (C3): the frame expands its full move list after the
+  /// ample prefix.
   bool Upgraded = false;
+  /// Visited-set key of this frame's state; only populated for the
+  /// on-stack proviso.
+  std::string StateKey;
 };
 
+/// Sparse snapshot: a full machine state every SnapshotStride levels.
 struct Checkpoint {
-  size_t Depth;
+  size_t Depth; ///< Frame index the snapshot corresponds to.
   Machine::Snapshot Snap;
 };
 
+/// Explores the subtree below \p Item. \p WholeSearch says this
+/// worker's stack is the whole search (one worker, or a swarm worker):
+/// it never offloads, it publishes its DFS depth as the frontier, and
+/// under --por it applies the on-stack cycle proviso.
 void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
-                              ConcurrentVisitedSet &Visited,
-                              bool AllowOffload, bool Shuffle,
-                              ConcurrentVisitedSet *UnionTable) {
+                              VisitedSet &Visited, bool WholeSearch,
+                              bool Shuffle, VisitedSet *UnionTable) {
   Machine &M = W.M;
   M.restore(Item.Snap);
   const size_t BaseDepth = Item.Path.size();
@@ -332,9 +396,6 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     Queue.stopAll();
   };
 
-  // Expand the item's root state. Its violation/leak check was done by
-  // the worker that discovered (and inserted) it; the enumeration-fault
-  // and deadlock checks belong to expansion, so they happen here.
   // --por: ample-set selection. The ample prefix is a deterministic
   // function of the state (stable partition over the canonical move
   // enumeration), so a re-expanded offloaded subtree picks the same
@@ -350,8 +411,29 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       ++W.Stats.PorFull;
   };
 
+  // Cycle proviso (C3) under --por: an edge that closes a cycle forces
+  // some state on the cycle to expand its full move list, or the
+  // deferred moves could be ignored forever around it. With the whole
+  // search on this stack, the states on it (key -> frame index) tell a
+  // back edge apart from one that merely rejoins a finished region
+  // (safe: that state discharged its own proviso when it was expanded),
+  // and the back edge upgrades its *target* frame: every cycle through
+  // the edge passes through the target, so upgrades concentrate on the
+  // few loop-head states. An offloading worker cannot see the other
+  // workers' stacks, so it conservatively upgrades the source frame on
+  // every failed insert instead.
+  const bool OnStackProviso = Por && WholeSearch;
+  std::unordered_map<std::string, size_t, TransparentStringHash,
+                     std::equal_to<>>
+      OnStack;
+
+  // Expand the item's root state. Its violation/leak check was done by
+  // the worker that discovered (and inserted) it; the enumeration-fault
+  // and deadlock checks belong to expansion, so they happen here.
   {
     Frame Root;
+    if (OnStackProviso)
+      Root.StateKey = std::string(makeKey(W));
     Root.Moves = M.enumerateMoves();
     if (Shuffle)
       std::shuffle(Root.Moves.begin(), Root.Moves.end(), W.Rng);
@@ -362,6 +444,8 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       return;
     }
     selectAmple(Root);
+    if (OnStackProviso)
+      OnStack.emplace(Root.StateKey, 0);
     Stack.push_back(std::move(Root));
     Checkpoints.push_back({0, M.snapshot()});
     MachineAt = 0;
@@ -402,6 +486,8 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       return;
     Frame &Top = Stack.back();
     if (Top.NextMove >= (Top.Upgraded ? Top.Moves.size() : Top.AmpleCount)) {
+      if (OnStackProviso)
+        OnStack.erase(Top.StateKey);
       Stack.pop_back();
       while (!Checkpoints.empty() &&
              Checkpoints.back().Depth >= Stack.size())
@@ -434,7 +520,8 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       Slot.Explored.store(W.Stats.Explored, std::memory_order_relaxed);
       Slot.Transitions.store(W.Stats.Transitions,
                              std::memory_order_relaxed);
-      Prog->FrontierDepth.store(Queue.approxSize(),
+      Prog->FrontierDepth.store(WholeSearch ? Stack.size()
+                                            : Queue.approxSize(),
                                 std::memory_order_relaxed);
     }
     {
@@ -446,13 +533,19 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     }
     std::string_view Key = makeKey(W);
     if (!Visited.insert(Key)) {
-      // Cycle proviso (C3): the successor was already inserted —
-      // possibly by another worker, which only makes the upgrade more
-      // conservative — so this frame may no longer defer its non-ample
-      // moves.
+      // A fully expanded source frame lies on any cycle through this
+      // edge itself, so only a reduced one needs the proviso.
       if (Por && !Top.Upgraded && Top.AmpleCount < Top.Moves.size()) {
-        Top.Upgraded = true;
-        ++W.Stats.PorUpgrades;
+        Frame *Target = &Top;
+        if (OnStackProviso) {
+          auto It = OnStack.find(Key);
+          Target = It == OnStack.end() ? nullptr : &Stack[It->second];
+        }
+        if (Target && !Target->Upgraded &&
+            Target->AmpleCount < Target->Moves.size()) {
+          Target->Upgraded = true;
+          ++W.Stats.PorUpgrades;
+        }
       }
       continue;
     }
@@ -475,7 +568,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       W.Stats.DepthTruncated = true;
       continue;
     }
-    if (AllowOffload && Queue.hungry() && haveLocalReserve()) {
+    if (!WholeSearch && Queue.hungry() && haveLocalReserve()) {
       WorkItem Child;
       Child.Snap = M.snapshot();
       std::vector<Move> Moves;
@@ -502,6 +595,10 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       return;
     }
     selectAmple(Next);
+    if (OnStackProviso) {
+      Next.StateKey = std::string(Key);
+      OnStack.emplace(Next.StateKey, Stack.size());
+    }
     Stack.push_back(std::move(Next));
     MachineAt = Stack.size() - 1;
     if (MachineAt % Stride == 0)
@@ -511,7 +608,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
   }
 }
 
-void ParallelDfs::workerMain(unsigned Wid, ConcurrentVisitedSet &Visited) {
+void ParallelDfs::workerMain(unsigned Wid, VisitedSet &Visited) {
   WorkerCtx W(Module, MO, Options.Env);
   W.Wid = Wid;
   WorkItem Item;
@@ -521,7 +618,7 @@ void ParallelDfs::workerMain(unsigned Wid, ConcurrentVisitedSet &Visited) {
         Prog && Wid < obs::kMaxProgressWorkers)
       Prog->PerWorker[Wid].Items.store(W.Stats.Items,
                                        std::memory_order_relaxed);
-    processItem(W, Item, Visited, /*AllowOffload=*/true,
+    processItem(W, Item, Visited, /*WholeSearch=*/Jobs == 1,
                 /*Shuffle=*/false, /*UnionTable=*/nullptr);
     Queue.taskDone();
   }
@@ -549,10 +646,10 @@ void ParallelDfs::aggregate(McResult &Result,
 
 McResult ParallelDfs::run() {
   McResult Result;
-  ConcurrentVisitedSet Visited = makeVisited(/*BitSeed=*/0);
+  VisitedSet Visited = makeVisited();
 
-  // Root state: counted and checked on the calling thread, exactly like
-  // the sequential engine, then handed to the workers as the first item.
+  // Root state: counted and checked on the calling thread, then handed
+  // to the workers as the first item.
   WorkerCtx Root(Module, MO, Options.Env);
   Machine &M = Root.M;
   M.start();
@@ -617,8 +714,8 @@ McResult ParallelDfs::runSwarm() {
   const unsigned Bits = clampedBitStateBits(Options.BitStateBits);
 
   // The shared seed-0 table estimates the union of the workers'
-  // coverage (and matches the table the sequential engine would use).
-  ConcurrentVisitedSet UnionTable = ConcurrentVisitedSet::bitState(Bits, 0);
+  // coverage (and matches the table a one-worker search would use).
+  VisitedSet UnionTable = VisitedSet::bitState(Bits);
 
   WorkerCtx Root(Module, MO, Options.Env);
   Machine &M = Root.M;
@@ -648,13 +745,13 @@ McResult ParallelDfs::runSwarm() {
   Threads.reserve(Jobs);
   for (unsigned Wid = 0; Wid != Jobs; ++Wid) {
     Threads.emplace_back([this, Wid, Bits, &UnionTable, &RootSnap] {
-      // Worker 0 reproduces the sequential search (seed 0, canonical
+      // Worker 0 reproduces the one-worker search (seed 0, canonical
       // move order); the rest randomize both the hash slice and the
       // traversal order, SPIN-swarm style.
       uint64_t BitSeed =
           Wid == 0 ? 0
                    : mix64(Options.Seed ^ (0x9e3779b97f4a7c15ULL * Wid));
-      ConcurrentVisitedSet Own = ConcurrentVisitedSet::bitState(Bits, BitSeed);
+      VisitedSet Own = VisitedSet::bitState(Bits, BitSeed);
       WorkerCtx W(Module, MO, Options.Env);
       W.Wid = Wid;
       W.Stats.Items = 1; // Each swarm worker runs exactly the root item.
@@ -665,7 +762,7 @@ McResult ParallelDfs::runSwarm() {
       Own.insert(makeKey(W));
       WorkItem RootItem;
       RootItem.Snap = RootSnap;
-      processItem(W, RootItem, Own, /*AllowOffload=*/false,
+      processItem(W, RootItem, Own, /*WholeSearch=*/true,
                   /*Shuffle=*/Wid != 0, &UnionTable);
       Done[Wid] = W.Stats;
     });
@@ -688,16 +785,12 @@ McResult ParallelDfs::runSwarm() {
   return Result;
 }
 
-} // namespace
-
 //===----------------------------------------------------------------------===//
-// Parallel simulation
+// Random simulation
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-McResult runParallelSimulation(const ModuleIR &Module,
-                               const McOptions &Options, unsigned Jobs) {
+McResult runSimulation(const ModuleIR &Module, const McOptions &Options,
+                       unsigned Jobs) {
   McResult Result;
   const MachineOptions MO = verifyMachineOptions(Options);
   ViolationSlot Slot;
@@ -790,17 +883,17 @@ McResult runParallelSimulation(const ModuleIR &Module,
 
 } // namespace
 
-McResult esp::runParallelSearch(const ModuleIR &Module,
-                                const McOptions &Options, unsigned Jobs) {
-  assert(Jobs >= 2 && "the sequential engine handles Jobs <= 1");
+McResult esp::mc_detail::runSearch(const ModuleIR &Module,
+                                   const McOptions &Options, unsigned Jobs) {
+  assert(Jobs >= 1 && "a search needs a worker");
   auto Start = std::chrono::steady_clock::now();
   McResult Result;
   switch (Options.Mode) {
   case SearchMode::Simulation:
-    Result = runParallelSimulation(Module, Options, Jobs);
+    Result = runSimulation(Module, Options, Jobs);
     break;
   case SearchMode::BitState:
-    if (Options.Swarm) {
+    if (Options.Swarm && Jobs > 1) {
       ParallelDfs Engine(Module, Options, Jobs);
       Result = Engine.runSwarm();
       break;

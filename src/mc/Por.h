@@ -28,17 +28,18 @@
 ///    free heap objects or halt are never placed in an ample set, so
 ///    the error predicates those moves feed stay observable. Leak and
 ///    assertion checks are evaluated on every visited state as before.
-///  * C3 (cycle proviso): handled lazily by the search engines. The
-///    sequential DFS keeps the set of on-stack states; an edge from a
-///    reduced frame back onto the stack closes a cycle, and the *target*
-///    frame is upgraded to full expansion (every cycle through a back
-///    edge passes through its target, and any cycle of the final reduced
-///    graph contains a back edge, so each gets a fully expanded state —
-///    which also resolves the ignoring problem). The parallel engine has
-///    no global stack and uses the conservative variant: any ample edge
-///    whose visited-set insert fails upgrades its source frame, so
-///    parallel reduced counts can exceed the sequential ones (verdicts
-///    are unaffected either way).
+///  * C3 (cycle proviso): handled lazily by the search engine. A worker
+///    whose stack is the whole search (`--jobs 1`) keeps the set of
+///    on-stack states; an edge from a reduced frame back onto the stack
+///    closes a cycle, and the *target* frame is upgraded to full
+///    expansion (every cycle through a back edge passes through its
+///    target, and any cycle of the final reduced graph contains a back
+///    edge, so each gets a fully expanded state — which also resolves
+///    the ignoring problem). Workers that hand subtrees to each other
+///    (`--jobs N`, N >= 2) have no global stack and use the
+///    conservative variant: any ample edge whose visited-set insert
+///    fails upgrades its source frame, so their reduced counts can
+///    exceed the one-worker ones (verdicts are unaffected either way).
 ///
 /// Whenever a condition cannot be discharged the selector falls back to
 /// full expansion, so `--por` can never weaken a verdict. Counts can

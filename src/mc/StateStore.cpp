@@ -12,107 +12,14 @@
 
 using namespace esp;
 
-// The second FNV seed shared by the 128-bit and bit-state hashing (the
-// sequential and parallel backends must agree on it bit-for-bit).
+// The second FNV seed shared by the 128-bit and bit-state hashing.
 static constexpr uint64_t SecondHashSeed = 0x9e3779b97f4a7c15ULL;
 
 //===----------------------------------------------------------------------===//
 // StateCompressor
 //===----------------------------------------------------------------------===//
 
-uint32_t StateCompressor::intern(std::string_view Blob) {
-  if (auto It = Index.find(Blob); It != Index.end())
-    return It->second;
-  auto [It, IsNew] = Index.emplace(std::string(Blob),
-                                   static_cast<uint32_t>(Index.size()));
-  assert(IsNew && "transparent find missed an existing key");
-  (void)IsNew;
-  Bytes += It->first.size() + sizeof(std::string) + 16; // Node overhead.
-  return It->second;
-}
-
-//===----------------------------------------------------------------------===//
-// VisitedSet
-//===----------------------------------------------------------------------===//
-
-VisitedSet VisitedSet::exact() { return VisitedSet(Impl::Exact); }
-
-VisitedSet VisitedSet::hashCompact(bool Wide) {
-  return VisitedSet(Wide ? Impl::Hash128 : Impl::Hash64);
-}
-
-VisitedSet VisitedSet::bitState(unsigned Bits) {
-  assert(Bits >= 3 && Bits < 64 && "bit-state bits must be validated");
-  VisitedSet S(Impl::BitState);
-  S.BitTable.assign((size_t(1) << Bits) / 8, 0);
-  S.BitMask = (uint64_t(1) << Bits) - 1;
-  return S;
-}
-
-bool VisitedSet::insert(std::string_view Key) {
-  bool New = false;
-  switch (Kind) {
-  case Impl::Exact:
-    // Heterogeneous find: the common revisit probes without building a
-    // std::string; only a genuinely new key allocates.
-    if (ExactKeys.find(Key) == ExactKeys.end()) {
-      ExactKeys.emplace(Key);
-      New = true;
-    }
-    break;
-  case Impl::Hash64:
-    New = Fp64.insert(mix64(fnv1aHash(Key.data(), Key.size()))).second;
-    break;
-  case Impl::Hash128: {
-    Fp128 F;
-    F.Hi = mix64(fnv1aHash(Key.data(), Key.size()));
-    F.Lo = mix64(fnv1aHash(Key.data(), Key.size(), SecondHashSeed));
-    New = Fp128Set.insert(F).second;
-    break;
-  }
-  case Impl::BitState: {
-    // Two independent hash functions over one bit table (SPIN's
-    // supertrace uses the same trick to cut collisions).
-    uint64_t H1 = mix64(fnv1aHash(Key.data(), Key.size())) & BitMask;
-    uint64_t H2 =
-        mix64(fnv1aHash(Key.data(), Key.size(), SecondHashSeed)) & BitMask;
-    bool Seen1 = BitTable[H1 / 8] & (1 << (H1 % 8));
-    bool Seen2 = BitTable[H2 / 8] & (1 << (H2 % 8));
-    BitTable[H1 / 8] |= 1 << (H1 % 8);
-    BitTable[H2 / 8] |= 1 << (H2 % 8);
-    New = !(Seen1 && Seen2);
-    break;
-  }
-  }
-  Stored += New;
-  return New;
-}
-
-size_t VisitedSet::bytes() const {
-  switch (Kind) {
-  case Impl::Exact: {
-    size_t Bytes = ExactKeys.bucket_count() * sizeof(void *);
-    for (const std::string &Key : ExactKeys)
-      Bytes += Key.size() + sizeof(std::string) + 16; // Node overhead.
-    return Bytes;
-  }
-  case Impl::Hash64:
-    return Fp64.size() * (sizeof(uint64_t) + 16) +
-           Fp64.bucket_count() * sizeof(void *);
-  case Impl::Hash128:
-    return Fp128Set.size() * (sizeof(Fp128) + 16) +
-           Fp128Set.bucket_count() * sizeof(void *);
-  case Impl::BitState:
-    return BitTable.size();
-  }
-  return 0;
-}
-
-//===----------------------------------------------------------------------===//
-// ConcurrentStateCompressor
-//===----------------------------------------------------------------------===//
-
-ConcurrentStateCompressor::ConcurrentStateCompressor(unsigned Log2Shards) {
+StateCompressor::StateCompressor(unsigned Log2Shards) {
   assert(Log2Shards < 16 && "unreasonable shard count");
   size_t NumShards = size_t(1) << Log2Shards;
   Shards.reserve(NumShards);
@@ -121,7 +28,7 @@ ConcurrentStateCompressor::ConcurrentStateCompressor(unsigned Log2Shards) {
   ShardShift = 64 - Log2Shards;
 }
 
-uint32_t ConcurrentStateCompressor::intern(std::string_view Blob) {
+uint32_t StateCompressor::intern(std::string_view Blob) {
   uint64_t H = mix64(fnv1aHash(Blob.data(), Blob.size()));
   Shard &S = *Shards[H >> ShardShift];
   std::lock_guard<std::mutex> Lock(S.M);
@@ -134,11 +41,11 @@ uint32_t ConcurrentStateCompressor::intern(std::string_view Blob) {
   return Id;
 }
 
-size_t ConcurrentStateCompressor::components() const {
+size_t StateCompressor::components() const {
   return NextIndex.load(std::memory_order_relaxed);
 }
 
-size_t ConcurrentStateCompressor::tableBytes() const {
+size_t StateCompressor::tableBytes() const {
   size_t Total = 0;
   for (const std::unique_ptr<Shard> &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->M);
@@ -148,11 +55,10 @@ size_t ConcurrentStateCompressor::tableBytes() const {
 }
 
 //===----------------------------------------------------------------------===//
-// ConcurrentVisitedSet
+// VisitedSet
 //===----------------------------------------------------------------------===//
 
-ConcurrentVisitedSet::ConcurrentVisitedSet(Impl K, unsigned Log2Shards)
-    : Kind(K) {
+VisitedSet::VisitedSet(Impl K, unsigned Log2Shards) : Kind(K) {
   if (K == Impl::BitState)
     return; // The bit table is allocated by the factory.
   assert(Log2Shards < 16 && "unreasonable shard count");
@@ -163,20 +69,17 @@ ConcurrentVisitedSet::ConcurrentVisitedSet(Impl K, unsigned Log2Shards)
   ShardShift = 64 - Log2Shards;
 }
 
-ConcurrentVisitedSet ConcurrentVisitedSet::exact(unsigned Log2Shards) {
-  return ConcurrentVisitedSet(Impl::Exact, Log2Shards);
+VisitedSet VisitedSet::exact(unsigned Log2Shards) {
+  return VisitedSet(Impl::Exact, Log2Shards);
 }
 
-ConcurrentVisitedSet ConcurrentVisitedSet::hashCompact(bool Wide,
-                                                       unsigned Log2Shards) {
-  return ConcurrentVisitedSet(Wide ? Impl::Hash128 : Impl::Hash64,
-                              Log2Shards);
+VisitedSet VisitedSet::hashCompact(bool Wide, unsigned Log2Shards) {
+  return VisitedSet(Wide ? Impl::Hash128 : Impl::Hash64, Log2Shards);
 }
 
-ConcurrentVisitedSet ConcurrentVisitedSet::bitState(unsigned Bits,
-                                                    uint64_t Seed) {
+VisitedSet VisitedSet::bitState(unsigned Bits, uint64_t Seed) {
   assert(Bits >= 6 && Bits < 64 && "bit-state bits must be validated");
-  ConcurrentVisitedSet S(Impl::BitState, 0);
+  VisitedSet S(Impl::BitState, 0);
   S.NumBitWords = (size_t(1) << Bits) / 64;
   S.BitWords = std::make_unique<std::atomic<uint64_t>[]>(S.NumBitWords);
   for (size_t I = 0; I != S.NumBitWords; ++I)
@@ -186,10 +89,11 @@ ConcurrentVisitedSet ConcurrentVisitedSet::bitState(unsigned Bits,
   return S;
 }
 
-bool ConcurrentVisitedSet::insert(std::string_view Key) {
+bool VisitedSet::insert(std::string_view Key) {
   bool New = false;
   if (Kind == Impl::BitState) {
-    // Seed == 0 reproduces the sequential hashing exactly; a swarm seed
+    // Two independent hash functions over one bit table (SPIN's
+    // supertrace uses the same trick to cut collisions). A swarm seed
     // perturbs both probes so each worker prunes a different slice.
     uint64_t H1 =
         mix64(fnv1aHash(Key.data(), Key.size()) ^ Seed) & BitMask;
@@ -210,7 +114,7 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
 
   // Sharded backends: the shard index comes from the fingerprint's high
   // bits; the stored fingerprint is the full 64/128-bit value, so the
-  // collision behavior matches the sequential VisitedSet bit-for-bit.
+  // collision behavior does not depend on the shard count.
   uint64_t Fp = mix64(fnv1aHash(Key.data(), Key.size()));
   Shard &S = *Shards[Fp >> ShardShift];
   switch (Kind) {
@@ -228,7 +132,7 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
     break;
   }
   case Impl::Hash128: {
-    VisitedSet::Fp128 F;
+    Fp128 F;
     F.Hi = Fp;
     F.Lo = mix64(fnv1aHash(Key.data(), Key.size(), SecondHashSeed));
     std::lock_guard<std::mutex> Lock(S.M);
@@ -243,7 +147,7 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
   return New;
 }
 
-size_t ConcurrentVisitedSet::bytes() const {
+size_t VisitedSet::bytes() const {
   if (Kind == Impl::BitState)
     return NumBitWords * sizeof(uint64_t);
   size_t Total = 0;
@@ -261,7 +165,7 @@ size_t ConcurrentVisitedSet::bytes() const {
                S.Fp64.bucket_count() * sizeof(void *);
       break;
     case Impl::Hash128:
-      Total += S.Fp128Set.size() * (sizeof(VisitedSet::Fp128) + 16) +
+      Total += S.Fp128Set.size() * (sizeof(Fp128) + 16) +
                S.Fp128Set.bucket_count() * sizeof(void *);
       break;
     case Impl::BitState:

@@ -5,24 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Memory-efficient visited-state storage for the explicit-state model
-/// checker, reproducing SPIN's answers to state explosion:
+/// Memory-efficient, thread-safe visited-state storage for the
+/// explicit-state model checker, reproducing SPIN's answers to state
+/// explosion:
 ///
 ///  * StateCompressor — COLLAPSE compression: every distinct heap-object
-///    blob is stored once in a component table; stored state vectors
-///    carry small component indices instead of object contents.
-///  * VisitedSet — unified visited-state set with four backends:
-///    exact (full keys), hash-compaction (64- or 128-bit fingerprints
-///    per state, SPIN's -DHC), and bit-state hashing (two bits per state
-///    in a fixed table, SPIN's supertrace).
-///  * ConcurrentVisitedSet / ConcurrentStateCompressor — the same
-///    backends for the parallel search (SPIN's multicore mode): a
-///    lock-striped sharded table (shard selected by the fingerprint's
-///    high bits) for exact/hash storage, an atomic fetch_or bit table
-///    for bit-state, and a striped interning table for COLLAPSE.
-///    Fingerprints match the sequential backends bit-for-bit, so a
-///    completed parallel search stores exactly the states the
-///    sequential one does.
+///    blob is stored once in a striped component table; stored state
+///    vectors carry small component indices instead of object contents.
+///  * VisitedSet — visited-state set with four backends: exact (full
+///    keys), hash-compaction (64- or 128-bit fingerprints per state,
+///    SPIN's -DHC), and bit-state hashing (two bits per state in a fixed
+///    table, SPIN's supertrace). Exact/hash storage is a lock-striped
+///    sharded table (shard selected by the fingerprint's high bits); the
+///    bit table uses atomic fetch_or. Fingerprints do not depend on the
+///    shard count or on which worker inserts, so a completed search
+///    stores the same states at any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,92 +52,17 @@ struct TransparentStringHash {
 /// COLLAPSE component table: interns serialized heap-object blobs and
 /// hands out dense indices. A blob shared by millions of states (a
 /// common buffer content, a steady-state record) is stored exactly once.
+/// Blobs are striped over shards by content hash; the global index
+/// counter is atomic, so indices are dense but, with several workers,
+/// not in discovery order — a blob's index is stable for the lifetime of
+/// the compressor, which is all the visited-set key construction needs.
 class StateCompressor {
 public:
-  /// Interns \p Blob, returning its component index. Identical blobs get
-  /// identical indices for the lifetime of the compressor. Only the
+  explicit StateCompressor(unsigned Log2Shards = 6);
+
+  /// Thread-safe intern; identical blobs get identical indices. Only the
   /// first occurrence of a blob allocates; repeat lookups probe with the
   /// view directly.
-  uint32_t intern(std::string_view Blob);
-
-  /// Number of distinct components stored.
-  size_t components() const { return Index.size(); }
-
-  /// Estimated memory held by the component table.
-  size_t tableBytes() const { return Bytes; }
-
-private:
-  std::unordered_map<std::string, uint32_t, TransparentStringHash,
-                     std::equal_to<>>
-      Index;
-  size_t Bytes = 0;
-};
-
-/// Visited-state set. `insert` returns true when the key was new; a
-/// false return in the lossy backends (hash-compaction fingerprint
-/// collision, bit-state saturation) can prune an unvisited state — the
-/// probability is negligible for hash-compaction (~n^2/2^64) and the
-/// accepted trade-off of supertrace for bit-state.
-class VisitedSet {
-public:
-  /// Exact storage of full keys (SPIN's default exhaustive storage).
-  static VisitedSet exact();
-  /// Hash-compaction: store one fingerprint per state. \p Wide selects
-  /// 128-bit fingerprints over 64-bit.
-  static VisitedSet hashCompact(bool Wide);
-  /// Bit-state hashing over a 2^Bits-bit table with two independent
-  /// hash functions. \p Bits must already be validated (see
-  /// clampedBitStateBits in ModelChecker.h).
-  static VisitedSet bitState(unsigned Bits);
-
-  /// Inserts \p Key; true when it was not present before.
-  bool insert(std::string_view Key);
-
-  /// States recorded via insert() returning true.
-  uint64_t size() const { return Stored; }
-
-  /// Estimated memory held by the set.
-  size_t bytes() const;
-
-private:
-  enum class Impl : uint8_t { Exact, Hash64, Hash128, BitState };
-
-  explicit VisitedSet(Impl K) : Kind(K) {}
-
-  struct Fp128 {
-    uint64_t Hi = 0, Lo = 0;
-    bool operator==(const Fp128 &O) const { return Hi == O.Hi && Lo == O.Lo; }
-  };
-  struct Fp128Hash {
-    size_t operator()(const Fp128 &F) const {
-      // Fold both halves: Hi alone would degrade 128-bit fingerprints
-      // to 64-bit bucket distribution.
-      return static_cast<size_t>(F.Hi ^ (F.Lo * 0xc6a4a7935bd1e995ULL));
-    }
-  };
-
-  Impl Kind;
-  uint64_t Stored = 0;
-  std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
-      ExactKeys;
-  std::unordered_set<uint64_t> Fp64;
-  std::unordered_set<Fp128, Fp128Hash> Fp128Set;
-  std::vector<uint8_t> BitTable;
-  uint64_t BitMask = 0;
-
-  friend class ConcurrentVisitedSet; // Shares Fp128/Fp128Hash.
-};
-
-/// Thread-safe COLLAPSE component table for the parallel search. Blobs
-/// are striped over shards by content hash; the global index counter is
-/// atomic, so indices are dense but not in discovery order — a blob's
-/// index is stable for the lifetime of the compressor, which is all the
-/// visited-set key construction needs.
-class ConcurrentStateCompressor {
-public:
-  explicit ConcurrentStateCompressor(unsigned Log2Shards = 6);
-
-  /// Thread-safe intern; identical blobs get identical indices.
   uint32_t intern(std::string_view Blob);
 
   /// Number of distinct components stored. Exact once writers joined.
@@ -163,27 +85,32 @@ private:
   std::atomic<uint32_t> NextIndex{0};
 };
 
-/// Thread-safe visited-state set for the parallel search. Membership
-/// semantics (fingerprint values, hence collision behavior) match the
-/// sequential VisitedSet exactly; storage is lock-striped by the
-/// fingerprint's high bits, and the bit-state table uses atomic
-/// fetch_or. Under concurrent insertion of the *same* bit-state key,
-/// two workers can both observe "new" (the two probe bits live in
-/// different words) — acceptable for the lossy supertrace mode; the
-/// exact/hash backends are linearizable per key.
-class ConcurrentVisitedSet {
+/// Visited-state set. `insert` returns true when the key was new; a
+/// false return in the lossy backends (hash-compaction fingerprint
+/// collision, bit-state saturation) can prune an unvisited state — the
+/// probability is negligible for hash-compaction (~n^2/2^64) and the
+/// accepted trade-off of supertrace for bit-state. Under concurrent
+/// insertion of the *same* bit-state key, two workers can both observe
+/// "new" (the two probe bits live in different words) — acceptable for
+/// the lossy supertrace mode; the exact/hash backends are linearizable
+/// per key.
+class VisitedSet {
 public:
-  static ConcurrentVisitedSet exact(unsigned Log2Shards = 6);
-  static ConcurrentVisitedSet hashCompact(bool Wide,
-                                          unsigned Log2Shards = 6);
-  /// \p Seed perturbs both probe hash functions; 0 reproduces the
-  /// sequential bit-state hashing. Swarm workers pass distinct seeds so
-  /// each covers a different random slice of a huge state space.
-  static ConcurrentVisitedSet bitState(unsigned Bits, uint64_t Seed = 0);
+  /// Exact storage of full keys (SPIN's default exhaustive storage).
+  static VisitedSet exact(unsigned Log2Shards = 6);
+  /// Hash-compaction: store one fingerprint per state. \p Wide selects
+  /// 128-bit fingerprints over 64-bit.
+  static VisitedSet hashCompact(bool Wide, unsigned Log2Shards = 6);
+  /// Bit-state hashing over a 2^Bits-bit table with two independent
+  /// hash functions. \p Bits must already be validated (see
+  /// clampedBitStateBits in ModelChecker.h). \p Seed perturbs both probe
+  /// hash functions; swarm workers pass distinct seeds so each covers a
+  /// different random slice of a huge state space.
+  static VisitedSet bitState(unsigned Bits, uint64_t Seed = 0);
 
   /// Movable (factory return); the atomic counter is transferred
   /// non-atomically, which is fine before any concurrent use.
-  ConcurrentVisitedSet(ConcurrentVisitedSet &&O) noexcept
+  VisitedSet(VisitedSet &&O) noexcept
       : Kind(O.Kind), Shards(std::move(O.Shards)), ShardShift(O.ShardShift),
         Stored(O.Stored.load(std::memory_order_relaxed)),
         BitWords(std::move(O.BitWords)), NumBitWords(O.NumBitWords),
@@ -202,15 +129,27 @@ public:
 private:
   enum class Impl : uint8_t { Exact, Hash64, Hash128, BitState };
 
+  struct Fp128 {
+    uint64_t Hi = 0, Lo = 0;
+    bool operator==(const Fp128 &O) const { return Hi == O.Hi && Lo == O.Lo; }
+  };
+  struct Fp128Hash {
+    size_t operator()(const Fp128 &F) const {
+      // Fold both halves: Hi alone would degrade 128-bit fingerprints
+      // to 64-bit bucket distribution.
+      return static_cast<size_t>(F.Hi ^ (F.Lo * 0xc6a4a7935bd1e995ULL));
+    }
+  };
+
   struct Shard {
     std::mutex M;
     std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
         ExactKeys;
     std::unordered_set<uint64_t> Fp64;
-    std::unordered_set<VisitedSet::Fp128, VisitedSet::Fp128Hash> Fp128Set;
+    std::unordered_set<Fp128, Fp128Hash> Fp128Set;
   };
 
-  ConcurrentVisitedSet(Impl K, unsigned Log2Shards);
+  VisitedSet(Impl K, unsigned Log2Shards);
 
   Impl Kind;
   std::vector<std::unique_ptr<Shard>> Shards;

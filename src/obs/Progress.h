@@ -6,12 +6,11 @@
 ///
 /// \file
 /// Live counters a running search publishes for `espmc --progress`: a
-/// background ticker thread reads them while the engines write with
-/// relaxed stores. The parallel engine gives every worker its own padded
-/// slot (no shared-line traffic on the hot path); totals are the sum of
-/// the slots plus the root-state contribution. All telemetry is
-/// observe-only — attaching a SearchProgress changes no verdict and no
-/// stored-state count.
+/// background ticker thread reads them while the engine writes with
+/// relaxed stores. Every worker has its own padded slot (no shared-line
+/// traffic on the hot path); totals are the sum of the slots plus the
+/// root-state contribution. All telemetry is observe-only — attaching a
+/// SearchProgress changes no verdict and no stored-state count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,17 +37,18 @@ struct alignas(64) WorkerProgress {
 
 class SearchProgress {
 public:
-  /// Sequential-engine totals (the parallel engine leaves these at the
-  /// root-state contribution and publishes per worker instead).
+  /// Root-state contribution to the totals (the workers publish the
+  /// rest in their slots).
   std::atomic<uint64_t> Explored{0};
   std::atomic<uint64_t> Stored{0};
   std::atomic<uint64_t> Transitions{0};
-  /// DFS stack depth (sequential) or shared-queue length (parallel).
+  /// DFS stack depth with one worker (its stack is the whole search),
+  /// else the shared work-queue length.
   std::atomic<uint64_t> FrontierDepth{0};
   /// Visited-set memory, refreshed at a coarse stride (0 until the
   /// first refresh).
   std::atomic<uint64_t> VisitedBytes{0};
-  /// Number of per-worker slots in use; 0 for the sequential engine.
+  /// Number of per-worker slots in use; 0 until the search starts.
   std::atomic<unsigned> Workers{0};
   std::array<WorkerProgress, kMaxProgressWorkers> PerWorker;
 

@@ -78,10 +78,11 @@ const char kUsage[] =
     "                      clamped to [10,28])\n"
     "  --runs N            simulation runs (default 256)\n"
     "  --seed N            simulation / swarm base seed\n"
-    "  --jobs N            worker threads (default 1: the sequential\n"
-    "                      engine; 0 = one per hardware thread). A\n"
-    "                      completed exhaustive search reports the same\n"
-    "                      verdict and stored-state count at any N\n"
+    "  --jobs N            search worker threads (default 1; 0 = one\n"
+    "                      per hardware thread). A completed exhaustive\n"
+    "                      search reports the same verdict and\n"
+    "                      stored-state count at any N; --por keeps\n"
+    "                      less of its reduction at N >= 2\n"
     "  --swarm             with --mode bitstate --jobs N: independent\n"
     "                      searches per worker with distinct hash seeds\n"
     "                      and randomized move order; coverage is the\n"

@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for `--jobs N` (the multi-core engine of ParallelSearch.cpp)
-/// and the concurrent visited-set backends. The load-bearing property:
+/// Tests for `--jobs N` (the work-stealing engine of ParallelSearch.cpp)
+/// and the thread-safe visited-set backends. The load-bearing property:
 /// a COMPLETED exhaustive search reports the identical verdict,
 /// StatesStored, StatesExplored, and Transitions at any worker count,
 /// because each stored state is expanded exactly once — by whichever
-/// worker first inserted it — and the concurrent backends compute
-/// fingerprints bit-identical to the sequential ones.
+/// worker first inserted it — and fingerprints do not depend on which
+/// worker computes them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,8 +113,8 @@ TEST(ParallelMc, CompletedSearchMatchesSequentialAcrossVisitedKinds) {
 }
 
 TEST(ParallelMc, BitStateCompletedSearchMatchesSequential) {
-  // Seed-0 concurrent bit-state hashes are bit-identical to the
-  // sequential table's, so even the (lossy) supertrace counts agree.
+  // The bit-state hashes do not depend on the worker count, so even
+  // the (lossy) supertrace counts agree.
   auto C = compile(CleanCorpus[1]);
   ASSERT_TRUE(C);
   McOptions Options;
@@ -279,12 +279,56 @@ TEST(ParallelMc, ParallelSimulationCleanModelRunsAllRuns) {
   EXPECT_EQ(R.Verdict, McVerdict::PartialOK) << R.report();
 }
 
+// Every simulation run draws from its own seed, so the walks — and the
+// totals — are the same at any worker count. The model's walks differ
+// in length, so a change of random stream shows in the counts.
+TEST(ParallelMc, SimulationAgreesAcrossWorkerCounts) {
+  auto C = compile(R"(
+channel c: int
+channel d: int
+channel done: int
+process a {
+  $i = 0;
+  while (i < 8) {
+    alt {
+      case( out( c, i)) { i = i + 1; }
+      case( out( d, i)) { i = i + 2; }
+    }
+  }
+  out(done, 0);
+}
+process b {
+  $n = 0;
+  while (n == 0) {
+    alt {
+      case( in( c, $x)) { }
+      case( in( d, $y)) { }
+      case( in( done, $z)) { n = 1; }
+    }
+  }
+}
+)");
+  ASSERT_TRUE(C);
+  McOptions Options;
+  Options.Mode = SearchMode::Simulation;
+  Options.SimulationRuns = 64;
+  Options.Jobs = 1;
+  McResult One = checkModel(C->Module, Options);
+  Options.Jobs = 4;
+  McResult Four = checkModel(C->Module, Options);
+  ASSERT_EQ(One.Verdict, McVerdict::PartialOK) << One.report();
+  ASSERT_EQ(Four.Verdict, McVerdict::PartialOK) << Four.report();
+  EXPECT_EQ(One.StatesExplored, Four.StatesExplored);
+  EXPECT_EQ(One.Transitions, Four.Transitions);
+  EXPECT_EQ(One.MaxDepthReached, Four.MaxDepthReached);
+}
+
 //===----------------------------------------------------------------------===//
 // Swarm verification
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelMc, SwarmCoverageAtLeastSingleWorkerBitState) {
-  // Worker 0 of a swarm reproduces the sequential seed-0 search, and
+  // Worker 0 of a swarm reproduces the one-worker seed-0 search, and
   // every worker's discoveries land in the shared union table, so the
   // union coverage can only be >= the single-worker coverage.
   auto C = compile(CleanCorpus[1]);
@@ -355,13 +399,13 @@ TEST(ParallelMc, SafetyHarnessDeterministicUnderJobs) {
 }
 
 //===----------------------------------------------------------------------===//
-// Concurrent storage backends
+// Storage backends under concurrent writers
 //===----------------------------------------------------------------------===//
 
 std::string keyFor(int I) { return "state-" + std::to_string(I); }
 
-TEST(ConcurrentVisitedSet, ExactInsertSemantics) {
-  ConcurrentVisitedSet V = ConcurrentVisitedSet::exact();
+TEST(VisitedSet, ExactInsertSemantics) {
+  VisitedSet V = VisitedSet::exact();
   EXPECT_TRUE(V.insert("a"));
   EXPECT_TRUE(V.insert("b"));
   EXPECT_FALSE(V.insert("a"));
@@ -369,14 +413,14 @@ TEST(ConcurrentVisitedSet, ExactInsertSemantics) {
   EXPECT_GT(V.bytes(), 0u);
 }
 
-TEST(ConcurrentVisitedSet, HammeredInsertCountsDistinctKeys) {
+TEST(VisitedSet, HammeredInsertCountsDistinctKeys) {
   // 4 threads race over an overlapping key range; every key must be
   // stored exactly once regardless of interleaving.
   constexpr int NumKeys = 2000;
-  for (auto Make : {+[] { return ConcurrentVisitedSet::exact(4); },
-                    +[] { return ConcurrentVisitedSet::hashCompact(false, 4); },
-                    +[] { return ConcurrentVisitedSet::hashCompact(true, 4); }}) {
-    ConcurrentVisitedSet V = Make();
+  for (auto Make : {+[] { return VisitedSet::exact(4); },
+                    +[] { return VisitedSet::hashCompact(false, 4); },
+                    +[] { return VisitedSet::hashCompact(true, 4); }}) {
+    VisitedSet V = Make();
     std::atomic<uint64_t> NewCount{0};
     std::vector<std::thread> Threads;
     for (int T = 0; T < 4; ++T)
@@ -393,13 +437,13 @@ TEST(ConcurrentVisitedSet, HammeredInsertCountsDistinctKeys) {
   }
 }
 
-TEST(ConcurrentVisitedSet, BitStateSeedChangesHashes) {
+TEST(VisitedSet, BitStateSeedChangesHashes) {
   // Different seeds must map keys to different bit positions (that is
   // the whole point of swarm verification). With a tiny table and many
   // keys, two seeds collide differently, so the stored counts differ
   // with overwhelming probability.
-  ConcurrentVisitedSet A = ConcurrentVisitedSet::bitState(10, 0);
-  ConcurrentVisitedSet B = ConcurrentVisitedSet::bitState(10, 0x1234567);
+  VisitedSet A = VisitedSet::bitState(10, 0);
+  VisitedSet B = VisitedSet::bitState(10, 0x1234567);
   for (int I = 0; I < 4000; ++I) {
     std::string K = keyFor(I);
     A.insert(K);
@@ -410,8 +454,8 @@ TEST(ConcurrentVisitedSet, BitStateSeedChangesHashes) {
   EXPECT_NE(A.size(), B.size());
 }
 
-TEST(ConcurrentStateCompressor, SameBlobSameIndexAcrossThreads) {
-  ConcurrentStateCompressor C(4);
+TEST(StateCompressor, SameBlobSameIndexAcrossThreads) {
+  StateCompressor C(4);
   constexpr int NumBlobs = 512;
   std::vector<std::vector<uint32_t>> PerThread(4);
   std::vector<std::thread> Threads;
@@ -437,7 +481,7 @@ TEST(ConcurrentStateCompressor, SameBlobSameIndexAcrossThreads) {
 }
 
 //===----------------------------------------------------------------------===//
-// Satellite: transparent lookup in the sequential stores
+// Transparent lookup in the stores
 //===----------------------------------------------------------------------===//
 
 TEST(StateCompressor, InternAcceptsStringView) {

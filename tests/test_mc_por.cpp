@@ -217,6 +217,30 @@ process srv { while (true) { in(req, $x); } }
   }
 }
 
+// A counterexample replays under the budget it was searched with: a
+// trace that needs budget + 1 environment sends on one channel is not a
+// valid counterexample of the budgeted search.
+TEST(McPor, ReplayTraceHonorsEnvBudget) {
+  auto C = compile(R"(
+channel req: int
+process srv { in(req, $a); in(req, $b); assert(a + b > 5); }
+)");
+  ASSERT_TRUE(C);
+  Harness H = makeHarness(*C->Prog, {"srv"});
+  McOptions Mc; // Unbounded: the bug takes two sends on req.
+  McResult R = H.check(Mc);
+  ASSERT_EQ(R.Verdict, McVerdict::Violation) << R.report();
+  ASSERT_EQ(R.TraceMoves.size(), 2u) << R.report();
+  for (const Move &Mv : R.TraceMoves)
+    EXPECT_EQ(Mv.K, Move::Kind::EnvSend) << R.report();
+  EXPECT_TRUE(H.replay(Mc, R));
+
+  Mc.EnvSendBudget = 1;
+  EXPECT_FALSE(H.replay(Mc, R)) << "second send exceeds the budget";
+  Mc.EnvSendBudget = 2;
+  EXPECT_TRUE(H.replay(Mc, R));
+}
+
 // Regression for the ample-set C1 condition under a budget: `steady`
 // and `buggy` share no channels, so a reduction may defer `buggy`'s
 // moves — but must not starve them. With a *global* send budget the two
@@ -246,9 +270,9 @@ process buggy {
   EXPECT_EQ(R.Violation.Kind, RuntimeErrorKind::AssertFailed);
 }
 
-// The parallel engine shares the ample selector but uses the
-// conservative insert-failure proviso, so its reduced counts differ
-// from the sequential engine's; verdicts may not.
+// Offloading workers share the ample selector but use the conservative
+// insert-failure proviso, so their reduced counts differ from the
+// one-worker search's; verdicts may not.
 TEST(ParallelMcPor, VerdictsMatchSequential) {
   SourceManager SM;
   DiagnosticEngine Diags(SM);

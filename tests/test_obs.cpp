@@ -291,7 +291,11 @@ TEST(ObsProgress, MatchesDeterminismGoldensSequential) {
   EXPECT_EQ(Progress.totalExplored(), 221u);
   EXPECT_EQ(Progress.totalStored(), 45u);
   EXPECT_EQ(Progress.totalTransitions(), 220u);
-  EXPECT_EQ(Progress.Workers.load(), 0u); // Sequential engine.
+  EXPECT_EQ(Progress.Workers.load(), 1u); // --jobs 1 is one worker.
+  // With one worker the work queue is always empty, so the frontier is
+  // the DFS stack depth, as `espmc --progress --jobs 1` reports it.
+  EXPECT_GT(Progress.FrontierDepth.load(), 0u);
+  EXPECT_LE(Progress.FrontierDepth.load(), Result.MaxDepthReached);
 }
 
 TEST(ObsProgress, MatchesDeterminismGoldensParallel) {

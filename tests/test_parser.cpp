@@ -396,6 +396,18 @@ process q { in(c, $v); }
   EXPECT_NE(Errors.find("expected an expression"), std::string::npos);
 }
 
+TEST(Parser, UnclosedBlockBeforeDeclarationTerminates) {
+  // The statement sync stops in front of `process` without consuming
+  // it; the block must give up there instead of retrying forever.
+  expectParseError("process p { process", "to close block");
+  // Parsing resumes at the declaration: line 2 draws no diagnostic.
+  std::string Errors;
+  parseOnly("process p { $x = 1; channel c: int\nprocess q { in(c, $v); }",
+            &Errors);
+  EXPECT_NE(Errors.find("to close block"), std::string::npos) << Errors;
+  EXPECT_EQ(Errors.find("parse.esp:2"), std::string::npos) << Errors;
+}
+
 TEST(Parser, SourceLocationsPointAtOffendingToken) {
   std::string Errors;
   parseOnly("channel c: int\nprocess p {\n  $x = ;\n}\n", &Errors);
