@@ -47,6 +47,17 @@ done
 "$ESPMC" --process producer --por \
   "$REPO_ROOT/examples/esp/quickstart.esp" > /dev/null
 
+echo "== espmc: object-table exhaustion is a violation, not a crash =="
+# One object cannot hold an environment message; the search must end
+# with a Violation verdict (exit 3). A signal or any other status fails.
+status=0
+"$ESPMC" --process pageTable --max-objects 1 \
+  "$REPO_ROOT/examples/esp/pagetable.esp" > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 3 ]; then
+  echo "check.sh: espmc --max-objects 1 exited $status, expected 3" >&2
+  exit 1
+fi
+
 ESPSERVE="$BUILD_DIR/src/tools/espserve"
 
 echo "== espserve: fleet smoke (single-worker deterministic + 4 workers) =="

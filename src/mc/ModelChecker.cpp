@@ -140,6 +140,7 @@ std::string McResult::json() const {
            JsonValue::integer(CompressedStateBytes));
   Root.set("memory_bytes", JsonValue::integer(MemoryBytes));
   Root.set("replayed_moves", JsonValue::integer(ReplayedMoves));
+  Root.set("env_builds", JsonValue::integer(EnvBuilds));
   Root.set("seconds", JsonValue::number(Seconds));
   Root.set("jobs", JsonValue::integer(JobsUsed));
   if (PorReducedStates || PorFullStates || PorProvisoUpgrades) {

@@ -143,6 +143,9 @@ struct McResult {
   size_t ComponentTableBytes = 0;  ///< COLLAPSE component-table memory.
   size_t MemoryBytes = 0;        ///< Visited set + component table memory.
   uint64_t ReplayedMoves = 0;    ///< Moves re-applied restoring checkpoints.
+  /// Environment values built (EnvModel::makeVariant calls), summed over
+  /// the workers' machines; see ExecStats::EnvBuilds.
+  uint64_t EnvBuilds = 0;
   double Seconds = 0.0;
 
   // Per-worker accounting.

@@ -238,6 +238,7 @@ struct WorkerStats {
   uint64_t PorReduced = 0;
   uint64_t PorFull = 0;
   uint64_t PorUpgrades = 0;
+  uint64_t EnvBuilds = 0; ///< The worker machines' ExecStats::EnvBuilds.
 };
 
 /// Everything a worker thread owns: its Machine over the shared
@@ -586,8 +587,9 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     if (Shuffle)
       std::shuffle(Next.Moves.begin(), Next.Moves.end(), W.Rng);
     // Enumeration itself can fault (ambiguous dispatch, object-table
-    // exhaustion while probing); leaks cannot appear here, so only the
-    // error needs rechecking.
+    // exhaustion building an environment value for a refutable reader
+    // pattern); leaks cannot appear here, so only the error needs
+    // rechecking.
     McResult V;
     if (M.error() ? checkStateViolation(M, Options, V)
                   : checkDeadlockViolation(M, Next.Moves, Options, V)) {
@@ -622,6 +624,7 @@ void ParallelDfs::workerMain(unsigned Wid, VisitedSet &Visited) {
                 /*Shuffle=*/false, /*UnionTable=*/nullptr);
     Queue.taskDone();
   }
+  W.Stats.EnvBuilds = W.M.stats().EnvBuilds;
   Done[Wid] = W.Stats;
 }
 
@@ -641,6 +644,7 @@ void ParallelDfs::aggregate(McResult &Result,
     Result.PorReducedStates += S.PorReduced;
     Result.PorFullStates += S.PorFull;
     Result.PorProvisoUpgrades += S.PorUpgrades;
+    Result.EnvBuilds += S.EnvBuilds;
   }
 }
 
@@ -764,6 +768,7 @@ McResult ParallelDfs::runSwarm() {
       RootItem.Snap = RootSnap;
       processItem(W, RootItem, Own, /*WholeSearch=*/true,
                   /*Shuffle=*/Wid != 0, &UnionTable);
+      W.Stats.EnvBuilds = W.M.stats().EnvBuilds;
       Done[Wid] = W.Stats;
     });
   }
@@ -831,6 +836,7 @@ McResult runSimulation(const ModuleIR &Module, const McOptions &Options,
                                 std::memory_order_relaxed);
         std::vector<Move> TraceMoves;
         auto reportViolation = [&](const McResult &V) {
+          S.EnvBuilds += M.stats().EnvBuilds;
           Slot.offer(V, TraceMoves,
                      {static_cast<uint32_t>(Run)}, Module);
           Stop.store(true, std::memory_order_release);
@@ -858,6 +864,7 @@ McResult runSimulation(const ModuleIR &Module, const McOptions &Options,
           ++S.Transitions;
           S.MaxDepthReached = std::max<size_t>(S.MaxDepthReached, Depth + 1);
         }
+        S.EnvBuilds += M.stats().EnvBuilds;
       }
     });
   }
@@ -872,6 +879,7 @@ McResult runSimulation(const ModuleIR &Module, const McOptions &Options,
         Result.MaxDepthReached, static_cast<unsigned>(S.MaxDepthReached));
     Result.WorkerExplored.push_back(S.Explored);
     Result.WorkerItems.push_back(S.Items);
+    Result.EnvBuilds += S.EnvBuilds;
   }
   Result.StateVectorBytes = RootVectorBytes.load(std::memory_order_relaxed);
   if (Slot.found())

@@ -58,6 +58,13 @@ unsigned BoundedEnvModel::numVariants(const ChannelDecl *Chan) const {
   return static_cast<unsigned>(countVariants(Chan->ElemType));
 }
 
+/// Frees the partly built \p Obj (and the children already stored in
+/// it) after a nested allocation failed; returns the Uninit failure value.
+static Value freePartial(const Value &Obj, Heap &H) {
+  H.unlink(Obj);
+  return Value();
+}
+
 Value BoundedEnvModel::buildVariant(const Type *T, uint64_t Index,
                                     Heap &H) const {
   switch (T->getKind()) {
@@ -67,10 +74,13 @@ Value BoundedEnvModel::buildVariant(const Type *T, uint64_t Index,
     return Value::makeBool(Index % 2 != 0);
   case TypeKind::Record: {
     std::optional<Value> Obj = H.allocate(T, T->getFields().size());
-    assert(Obj && "env allocation failed; raise MaxObjects");
+    if (!Obj)
+      return Value();
     for (size_t I = 0, N = T->getFields().size(); I != N; ++I) {
       uint64_t N_I = countVariants(T->getFields()[I].FieldType);
       Value Elem = buildVariant(T->getFields()[I].FieldType, Index % N_I, H);
+      if (Elem.isUninit())
+        return freePartial(*Obj, H);
       Index /= N_I;
       H.deref(*Obj)->Elems[I] = Elem;
     }
@@ -88,8 +98,11 @@ Value BoundedEnvModel::buildVariant(const Type *T, uint64_t Index,
     if (Arm >= T->getFields().size())
       Arm = T->getFields().size() - 1;
     std::optional<Value> Obj = H.allocate(T, 1);
-    assert(Obj && "env allocation failed; raise MaxObjects");
+    if (!Obj)
+      return Value();
     Value Sub = buildVariant(T->getFields()[Arm].FieldType, Index, H);
+    if (Sub.isUninit())
+      return freePartial(*Obj, H);
     HeapObject *ObjPtr = H.deref(*Obj);
     ObjPtr->Arm = static_cast<int32_t>(Arm);
     ObjPtr->Elems[0] = Sub;
@@ -97,10 +110,13 @@ Value BoundedEnvModel::buildVariant(const Type *T, uint64_t Index,
   }
   case TypeKind::Array: {
     std::optional<Value> Obj = H.allocate(T, ArrayLen);
-    assert(Obj && "env allocation failed; raise MaxObjects");
+    if (!Obj)
+      return Value();
     uint64_t PerElem = countVariants(T->getElementType());
     for (unsigned I = 0; I != ArrayLen; ++I) {
       Value Elem = buildVariant(T->getElementType(), Index % PerElem, H);
+      if (Elem.isUninit())
+        return freePartial(*Obj, H);
       Index /= PerElem;
       H.deref(*Obj)->Elems[I] = Elem;
     }

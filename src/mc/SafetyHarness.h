@@ -49,6 +49,7 @@ public:
   uint64_t countVariants(const Type *T) const;
 
 private:
+  /// Uninit, with nothing left allocated, when \p H is full.
   Value buildVariant(const Type *T, uint64_t Index, Heap &H) const;
 
   std::set<std::string> Driven;

@@ -290,6 +290,33 @@ CaseDisc discOfPattern(const CompiledProc &P, uint32_t PatIndex) {
   return Disc;
 }
 
+/// True when pattern \p PatIndex matches every value of its type:
+/// binders and records of binders only.
+bool isIrrefutable(const CompiledProc &P, uint32_t PatIndex) {
+  const CPat &Pat = P.Pats[PatIndex];
+  if (Pat.Kind == PatternKind::Bind)
+    return true;
+  if (Pat.Kind != PatternKind::Record)
+    return false;
+  for (uint32_t I = 0; I != Pat.NumChildren; ++I)
+    if (!isIrrefutable(P, P.PatChildren[Pat.ChildBegin + I]))
+      return false;
+  return true;
+}
+
+/// See CCase::DiscDecides.
+bool discDecides(const CompiledProc &P, uint32_t PatIndex) {
+  const CPat &Root = P.Pats[PatIndex];
+  switch (Root.Kind) {
+  case PatternKind::Union:
+    return isIrrefutable(P, P.PatChildren[Root.ChildBegin]);
+  case PatternKind::Match:
+    return Root.IsStatic;
+  default:
+    return isIrrefutable(P, PatIndex);
+  }
+}
+
 void compileInst(ProcCompiler &PC, CompiledProc &Out, const Inst &I) {
   Out.Insts.emplace_back();
   size_t Index = Out.Insts.size() - 1;
@@ -374,8 +401,10 @@ void compileInst(ProcCompiler &PC, CompiledProc &Out, const Inst &I) {
     }
     // Discriminants need the pattern pool to be final for these cases.
     for (CCase &C : Out.Insts[Index].Cases)
-      if (C.IsIn)
+      if (C.IsIn) {
         C.Disc = discOfPattern(Out, C.Pat);
+        C.DiscDecides = discDecides(Out, C.Pat);
+      }
     return;
   }
   }

@@ -128,6 +128,11 @@ struct CCase {
   std::vector<uint8_t> ElideFieldIsAlloc; ///< Field expr is an allocation.
   uint32_t Pat = kNoPattern; ///< Reader pattern (compiled node index).
   CaseDisc Disc;             ///< Reader pattern discriminant.
+  /// A message whose discriminant Disc does not reject matches the
+  /// pattern for certain: the pattern is binders and records only, a
+  /// top-level union arm over such a sub-pattern, or a top-level static
+  /// scalar.
+  bool DiscDecides = false;
   uint32_t ChanId = 0;
   uint32_t Target = 0;
   bool IsIn = false;

@@ -911,12 +911,15 @@ bool Machine::matchValues(unsigned ReaderIndex, uint32_t PatIndex,
 
 Machine::MsgDisc
 Machine::discOfValues(const std::vector<Value> &Values) const {
-  MsgDisc D;
   if (Values.size() != 1)
-    return D;
-  const Value &V = Values[0];
+    return MsgDisc();
+  return discOf(H, Values[0]);
+}
+
+Machine::MsgDisc Machine::discOf(const Heap &Hp, const Value &V) {
+  MsgDisc D;
   if (V.isRef()) {
-    const HeapObject *Obj = H.deref(V);
+    const HeapObject *Obj = Hp.deref(V);
     if (Obj && Obj->ObjType->isUnion()) {
       D.Kind = MsgDisc::K::UnionArm;
       D.Arm = Obj->Arm;
@@ -1608,57 +1611,108 @@ std::vector<Move> Machine::enumerateMovesImpl() {
     }
   }
 
-  // Environment sends (per channel, skipped once that channel's finite
-  // workload budget is spent).
-  if (Env) {
-    for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels) {
-      if (Options.EnvSendBudget != 0 &&
-          EnvSends[Chan->Id] >= Options.EnvSendBudget)
-        continue;
-      unsigned NumVariants = Env->numVariants(Chan.get());
-      for (unsigned Variant = 0; Variant != NumVariants; ++Variant) {
-        Value V = Env->makeVariant(Chan.get(), Variant, H);
-        std::vector<Value> Values = {V};
-        MsgDisc D = discOfValues(Values);
-        const uint64_t *Mask = inWait(Chan->Id);
-        for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
-          for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
-            unsigned R =
-                Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-            if (Procs[R].St != ProcState::Status::Blocked)
+  if (Env)
+    enumerateEnvSends(Moves);
+  return Moves;
+}
+
+Value Machine::buildEnvValue(const ChannelDecl &Chan, unsigned Variant,
+                             Heap &Into) {
+  ++Stats.EnvBuilds;
+  Value V = Env->makeVariant(&Chan, Variant, Into);
+  if (V.isUninit())
+    fail(RuntimeErrorKind::OutOfObjects, Chan.Loc, -1,
+         "object table exhausted building an environment message on "
+         "channel '" + Chan.Name + "'");
+  return V;
+}
+
+const std::vector<Machine::MsgDisc> *
+Machine::envDiscs(const ChannelDecl &Chan) {
+  if (EnvDiscs.empty())
+    EnvDiscs.resize(Module.Prog->Channels.size());
+  std::optional<std::vector<MsgDisc>> &Discs = EnvDiscs[Chan.Id];
+  if (Discs)
+    return &*Discs;
+  // Variants are pure functions of (channel, index), so one build each
+  // in a scratch heap stands for every state.
+  Heap Scratch;
+  std::vector<MsgDisc> Built(Env->numVariants(&Chan));
+  for (unsigned Variant = 0, NV = static_cast<unsigned>(Built.size());
+       Variant != NV; ++Variant) {
+    Value V = buildEnvValue(Chan, Variant, Scratch);
+    if (Error)
+      return nullptr;
+    Built[Variant] = discOf(Scratch, V);
+  }
+  Discs = std::move(Built);
+  return &*Discs;
+}
+
+void Machine::enumerateEnvSends(std::vector<Move> &Moves) {
+  // Per channel, skipped once that channel's finite workload budget is
+  // spent, and when no process waits on it. Moves come out variant-major,
+  // readers in mask order, as a build-every-variant walk would list them.
+  for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels) {
+    const uint32_t Id = Chan->Id;
+    if (Options.EnvSendBudget != 0 && EnvSends[Id] >= Options.EnvSendBudget)
+      continue;
+    const uint64_t *Mask = inWait(Id);
+    if (std::all_of(Mask, Mask + CP.MaskWords,
+                    [](uint64_t Word) { return Word == 0; }))
+      continue;
+    const std::vector<MsgDisc> *Discs = envDiscs(*Chan);
+    if (!Discs)
+      return;
+    std::vector<Value> Values; // Built only for a refutable reader.
+    for (unsigned Variant = 0, NV = static_cast<unsigned>(Discs->size());
+         Variant != NV; ++Variant) {
+      const MsgDisc &D = (*Discs)[Variant];
+      Values.clear();
+      for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
+        for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
+          unsigned R =
+              Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
+          if (Procs[R].St != ProcState::Status::Blocked)
+            continue;
+          const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
+          for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
+            const CCase &RCase = RI.Cases[RC];
+            if (!RCase.IsIn || RCase.ChanId != Id || !Procs[R].CaseEnabled[RC])
               continue;
-            const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-            for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-              const CCase &RCase = RI.Cases[RC];
-              if (!RCase.IsIn || RCase.ChanId != Chan->Id ||
-                  !Procs[R].CaseEnabled[RC])
-                continue;
-              if (discRejects(RCase.Disc, D))
-                continue;
+            if (discRejects(RCase.Disc, D))
+              continue;
+            if (!discDecides(RCase, D)) {
+              if (Values.empty()) {
+                Value V = buildEnvValue(*Chan, Variant, H);
+                if (Error)
+                  return;
+                Values.push_back(V);
+              }
               if (!matchValues(R, RCase.Pat, Values, MatchMode::Try)) {
                 if (Error)
-                  return Moves;
+                  return;
                 continue;
               }
-              Move M;
-              M.K = Move::Kind::EnvSend;
-              M.Channel = Chan->Id;
-              M.Reader = static_cast<int>(R);
-              M.ReaderCase = static_cast<unsigned>(RC);
-              M.EnvVariant = Variant;
-              Moves.push_back(M);
             }
+            Move M;
+            M.K = Move::Kind::EnvSend;
+            M.Channel = Id;
+            M.Reader = static_cast<int>(R);
+            M.ReaderCase = static_cast<unsigned>(RC);
+            M.EnvVariant = Variant;
+            Moves.push_back(M);
           }
         }
-        // Undo the probe allocation so enumeration does not perturb the
-        // state.
-        dropValueTemp(V, SourceLoc(), -1);
+      }
+      // Free the value so enumeration does not perturb the state.
+      if (!Values.empty()) {
+        dropValueTemp(Values[0], SourceLoc(), -1);
         if (Error)
-          return Moves;
+          return;
       }
     }
   }
-  return Moves;
 }
 
 StepResult Machine::applyMove(const Move &M) {
@@ -1673,11 +1727,11 @@ StepResult Machine::applyMove(const Move &M) {
     break;
   }
   case Move::Kind::EnvSend: {
-    const ChannelDecl *Chan = nullptr;
-    for (const std::unique_ptr<ChannelDecl> &C : Module.Prog->Channels)
-      if (C->Id == M.Channel)
-        Chan = C.get();
-    Value V = Env->makeVariant(Chan, M.EnvVariant, H);
+    const ChannelDecl &Chan = *Module.Prog->Channels[M.Channel];
+    assert(Chan.Id == M.Channel && "channel ids are declaration positions");
+    Value V = buildEnvValue(Chan, M.EnvVariant, H);
+    if (Error)
+      break;
     std::vector<Value> Values = {V};
     ++EnvSends[M.Channel];
     if (transfer(-1, 0, M.Reader, M.ReaderCase, &Values))

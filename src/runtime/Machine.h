@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,12 @@ public:
 /// Both methods are const: one model instance is shared read-only by
 /// every worker Machine of a parallel search, so implementations must
 /// not mutate state (allocation goes into the caller's Heap).
+///
+/// The Machine does not build a variant just to enumerate it: it builds
+/// every variant once, reads its top-level discriminant (union arm or
+/// scalar) into a per-channel table, and afterwards builds a value only
+/// when a reader pattern needs more than that discriminant, or when the
+/// send is applied.
 class EnvModel {
 public:
   virtual ~EnvModel() = default;
@@ -134,7 +141,11 @@ public:
   /// disables environment sends on that channel.
   virtual unsigned numVariants(const ChannelDecl *Chan) const = 0;
 
-  /// Materializes variant \p Index in \p H.
+  /// Materializes variant \p Index in \p H. Must be a pure function of
+  /// (\p Chan, \p Index): the discriminant table built from one call
+  /// stands for every later call. Returns an Uninit value, with nothing
+  /// left allocated, when \p H's object table is full; the Machine
+  /// reports that as RuntimeErrorKind::OutOfObjects.
   virtual Value makeVariant(const ChannelDecl *Chan, unsigned Index,
                             Heap &H) const = 0;
 };
@@ -259,7 +270,12 @@ struct ExecStats {
   uint64_t ExternalDeliveries = 0;
   uint64_t ExternalConsumes = 0;
   uint64_t PollRounds = 0;
+  /// Pattern walks that actually ran. An environment send whose reader
+  /// case the discriminant table already decides runs none.
   uint64_t PatternMatchesTried = 0;
+  /// EnvModel::makeVariant calls: discriminant-table fills, values built
+  /// to walk a refutable reader pattern, and applied environment sends.
+  uint64_t EnvBuilds = 0;
 };
 
 struct MachineOptions {
@@ -324,7 +340,10 @@ public:
   void bindReader(const std::string &InterfaceName,
                   std::unique_ptr<ExternalReader> Reader);
   /// Sets the verification environment model (not owned).
-  void setEnvModel(const EnvModel *Model) { Env = Model; }
+  void setEnvModel(const EnvModel *Model) {
+    Env = Model;
+    EnvDiscs.clear();
+  }
 
   /// Installs (or clears, with nullptr) the observation hook. Not owned.
   void setObserver(MachineObserver *O) { Obs = O; }
@@ -361,9 +380,10 @@ public:
 
   /// Enumerates every enabled move in the current state. All processes
   /// must be Blocked/Done/Failed (i.e. after start()/applyMove()).
-  /// Enumeration is canonically pure: probe allocations and lazily
-  /// prepared out values are undone before returning, so serializeState
-  /// is identical before and after (the snapshot-free DFS relies on it).
+  /// Enumeration is canonically pure: environment values built to walk a
+  /// refutable reader pattern and lazily prepared out values are undone
+  /// before returning, so serializeState is identical before and after
+  /// (the snapshot-free DFS relies on it).
   std::vector<Move> enumerateMoves();
 
   /// Applies \p M: performs the transfer and runs both participants to
@@ -499,6 +519,13 @@ private:
 
   /// enumerateMoves without the purity cleanup (the raw probe walk).
   std::vector<Move> enumerateMovesImpl();
+  /// Appends the environment sends of the current state to \p Moves;
+  /// stops early when a build or pattern walk faults (error set).
+  void enumerateEnvSends(std::vector<Move> &Moves);
+  /// Builds environment variant \p Variant of \p Chan in \p Into (the
+  /// machine heap, or the discriminant table's scratch heap). On
+  /// object-table exhaustion sets OutOfObjects and returns Uninit.
+  Value buildEnvValue(const ChannelDecl &Chan, unsigned Variant, Heap &Into);
 
   //===--- Dispatch tables and wait bitmasks --------------------------------===//
 
@@ -508,6 +535,7 @@ private:
     int32_t Arm = -1;
     int64_t Scalar = 0;
   };
+  static MsgDisc discOf(const Heap &Hp, const Value &V);
   MsgDisc discOfValues(const std::vector<Value> &Values) const;
   /// True when the dispatch table proves \p Case cannot match a message
   /// with discriminant \p D (so the pattern walk is skipped entirely).
@@ -518,6 +546,26 @@ private:
       return Case.Scalar != D.Scalar;
     return false;
   }
+  /// True when a message with discriminant \p D that \p Case does not
+  /// reject certainly matches it (no pattern walk needed).
+  static bool discDecides(const CCase &Case, const MsgDisc &D) {
+    if (!Case.DiscDecides)
+      return false;
+    switch (Case.Disc.Kind) {
+    case CaseDisc::K::None:
+      return true;
+    case CaseDisc::K::UnionArm:
+      return D.Kind == MsgDisc::K::UnionArm;
+    case CaseDisc::K::Scalar:
+      return D.Kind == MsgDisc::K::Scalar;
+    }
+    return false;
+  }
+  /// The discriminant of every environment variant of \p Chan, built on
+  /// first use in a private heap and kept for the machine's lifetime
+  /// (the table depends only on the program and the model). Null when a
+  /// build faulted (machine error set).
+  const std::vector<MsgDisc> *envDiscs(const ChannelDecl &Chan);
 
   /// Sets/clears process \p ProcIndex's bit in the wait mask of every
   /// channel one of its enabled cases blocks on. The masks are an
@@ -587,6 +635,9 @@ private:
   std::vector<std::unique_ptr<ExternalWriter>> Writers;
   std::vector<std::unique_ptr<ExternalReader>> Readers;
   const EnvModel *Env = nullptr;
+  /// Per channel id: the discriminant of each environment variant (see
+  /// envDiscs). Not part of the dynamic state: survives restore/reset.
+  std::vector<std::optional<std::vector<MsgDisc>>> EnvDiscs;
   MachineObserver *Obs = nullptr;
 };
 

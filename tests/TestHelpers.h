@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Helpers shared by the test suite: compile ESP source through the whole
-/// frontend and lowering pipeline, with assertions on diagnostics.
+/// frontend and lowering pipeline, with assertions on diagnostics; read an
+/// example; build a per-process or cluster verification harness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,14 +19,19 @@
 #include "frontend/Sema.h"
 #include "ir/IR.h"
 #include "ir/Passes.h"
+#include "mc/SafetyHarness.h"
 #include "runtime/Machine.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 namespace esp {
 namespace test {
@@ -75,6 +81,65 @@ inline void expectDiagnostic(const std::string &Source,
   EXPECT_TRUE(C.Diags->containsMessage(ExpectedFragment))
       << "diagnostics were:\n"
       << C.Diags->renderAll();
+}
+
+/// Reads examples/esp/\p Name from the source tree.
+inline std::string readExample(const std::string &Name) {
+  std::string Path = std::string(ESP_SOURCE_DIR) + "/examples/esp/" + Name;
+  std::ifstream In(Path, std::ios::binary);
+  EXPECT_TRUE(In) << "cannot read " << Path;
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
+/// The per-process / cluster harness, opened up so tests can hold on to
+/// the module and environment and call replayTrace on the results.
+/// Mirrors verifyProcessMemorySafety (single name: the environment
+/// drives every channel the process receives from) and
+/// verifyProcessClusterMemorySafety (several names: driven = read by a
+/// kept process and written by none).
+struct Harness {
+  ModuleIR Module;
+  std::unique_ptr<BoundedEnvModel> Env;
+
+  McResult check(McOptions Mc) const {
+    Mc.Env = Env.get();
+    return checkModel(Module, Mc);
+  }
+  bool replay(McOptions Mc, const McResult &R) const {
+    Mc.Env = Env.get();
+    return replayTrace(Module, Mc, R);
+  }
+};
+
+inline Harness makeHarness(const Program &Prog,
+                           const std::vector<std::string> &Names) {
+  Harness H;
+  ModuleIR Full = lowerProgram(Prog);
+  H.Module.Prog = Full.Prog;
+  for (ProcIR &P : Full.Procs)
+    for (const std::string &Name : Names)
+      if (P.Proc->Name == Name) {
+        H.Module.Procs.push_back(std::move(P));
+        break;
+      }
+  EXPECT_FALSE(H.Module.Procs.empty());
+
+  std::set<std::string> Read, Written;
+  for (const ProcIR &P : H.Module.Procs)
+    for (const Inst &I : P.Insts) {
+      if (I.Kind != InstKind::Block)
+        continue;
+      for (const IRCase &Case : I.Cases)
+        (Case.IsIn ? Read : Written).insert(Case.Channel->Name);
+    }
+  std::set<std::string> Driven;
+  for (const std::string &Name : Read)
+    if (Names.size() == 1 || !Written.count(Name))
+      Driven.insert(Name);
+  H.Env = std::make_unique<BoundedEnvModel>(Driven);
+  return H;
 }
 
 } // namespace test
