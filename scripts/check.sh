@@ -58,6 +58,35 @@ if [ "$status" -ne 3 ]; then
   exit 1
 fi
 
+echo "== espc/espmc: dispatch ambiguity does not depend on arrival order =="
+# Two readers accept the writer's one message (§4.2). Declared either
+# way round, execution must stop with a runtime error (exit 1) and the
+# checker must report the violation (exit 3).
+ESPC="$BUILD_DIR/src/tools/espc"
+AMBIG_DIR="$(mktemp -d)"
+trap 'rm -rf "$AMBIG_DIR"' EXIT
+AMBIG_READERS='process r1 { $x: int = 1; in(c, x); }
+process r2 { $x: int = 1; in(c, x); }'
+AMBIG_WRITER='process w { out(c, 1); }'
+printf 'channel c: int\n%s\n%s\n' "$AMBIG_READERS" "$AMBIG_WRITER" \
+  > "$AMBIG_DIR/readers_first.esp"
+printf 'channel c: int\n%s\n%s\n' "$AMBIG_WRITER" "$AMBIG_READERS" \
+  > "$AMBIG_DIR/writer_first.esp"
+for order in readers_first writer_first; do
+  status=0
+  "$ESPC" --run "$AMBIG_DIR/$order.esp" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "check.sh: espc --run $order.esp exited $status, expected 1" >&2
+    exit 1
+  fi
+  status=0
+  "$ESPMC" "$AMBIG_DIR/$order.esp" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 3 ]; then
+    echo "check.sh: espmc $order.esp exited $status, expected 3" >&2
+    exit 1
+  fi
+done
+
 ESPSERVE="$BUILD_DIR/src/tools/espserve"
 
 echo "== espserve: fleet smoke (single-worker deterministic + 4 workers) =="

@@ -65,19 +65,12 @@ bool checkStateViolation(Machine &M, const McOptions &Options,
   return false;
 }
 
-/// Deadlock check over an already-enumerated move list: no enabled move
-/// while some process is still blocked.
+/// Deadlock check over an already-enumerated move list (the predicate is
+/// Machine::isDeadlocked, shared with replayTrace).
 bool checkDeadlockViolation(Machine &M, const std::vector<Move> &Moves,
                             const McOptions &Options, McResult &Result) {
-  if (!Options.CheckDeadlock || !Moves.empty() || M.error())
+  if (!Options.CheckDeadlock || !M.isDeadlocked(Moves))
     return false;
-  bool AnyBlocked = false;
-  for (unsigned I = 0, E = M.numProcesses(); I != E; ++I)
-    AnyBlocked |= M.proc(I).St == ProcState::Status::Blocked;
-  if (!AnyBlocked)
-    return false; // All processes finished: normal termination.
-  if (M.stuckOnEnvBudget())
-    return false; // Finite workload consumed: quiescence, not deadlock.
   Result.Verdict = McVerdict::Violation;
   Result.Deadlock = true;
   Result.Violation.Kind = RuntimeErrorKind::None;

@@ -277,14 +277,14 @@ private:
   const ProcessDecl *Proc;
 };
 
-CaseDisc discOfPattern(const CompiledProc &P, uint32_t PatIndex) {
-  CaseDisc Disc;
+Discriminant discOfPattern(const CompiledProc &P, uint32_t PatIndex) {
+  Discriminant Disc;
   const CPat &Root = P.Pats[PatIndex];
   if (Root.Kind == PatternKind::Union) {
-    Disc.Kind = CaseDisc::K::UnionArm;
+    Disc.Kind = Discriminant::K::UnionArm;
     Disc.Arm = Root.Arm;
   } else if (Root.Kind == PatternKind::Match && Root.IsStatic) {
-    Disc.Kind = CaseDisc::K::Scalar;
+    Disc.Kind = Discriminant::K::Scalar;
     Disc.Scalar = Root.Const;
   }
   return Disc;

@@ -27,9 +27,14 @@
 /// statically disjoint (in which case the first matching reader is the
 /// only possible one and dispatch can stop scanning).
 ///
-/// Everything in here is immutable after build() and references the
-/// ModuleIR/AST only for diagnostics (source locations, names) on error
-/// paths; the per-step execution path is table lookups only.
+/// Everything in here is immutable after build(). The per-step execution
+/// path, dispatch and commit included, is table lookups only and touches
+/// the ModuleIR/AST just to format diagnostics on error paths: which out
+/// values own a temp reference to release at commit is read from
+/// CCase::OutIsAlloc/ElideFieldIsAlloc, not from the out expression. The
+/// one exception is the C side of an interface (§4.5): building an
+/// external writer's message and extracting an external reader's binder
+/// values still walk the interface's patterns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,9 +117,10 @@ struct CPat {
 
 constexpr uint32_t kNoPattern = UINT32_MAX;
 
-/// The top-level discriminant of a reader pattern, used to reject a
+/// The top-level discriminant (union arm or scalar) of a reader pattern
+/// or of a message. Comparing a message's with a pattern's rejects the
 /// message without a pattern walk (the dispatch-table entry).
-struct CaseDisc {
+struct Discriminant {
   enum class K : uint8_t { None, UnionArm, Scalar } Kind = K::None;
   int32_t Arm = -1;
   int64_t Scalar = 0;
@@ -127,7 +133,7 @@ struct CCase {
   std::vector<XRange> ElideFields; ///< Per-field bytecode when elided.
   std::vector<uint8_t> ElideFieldIsAlloc; ///< Field expr is an allocation.
   uint32_t Pat = kNoPattern; ///< Reader pattern (compiled node index).
-  CaseDisc Disc;             ///< Reader pattern discriminant.
+  Discriminant Disc;         ///< Reader pattern discriminant.
   /// A message whose discriminant Disc does not reject matches the
   /// pattern for certain: the pattern is binders and records only, a
   /// top-level union arm over such a sub-pattern, or a top-level static

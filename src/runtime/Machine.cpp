@@ -176,7 +176,7 @@ void Machine::fail(RuntimeErrorKind Kind, SourceLoc Loc, int ProcIndex,
 // channel): every consumer re-checks those, so the invariant that matters
 // is masks >= truth. Bits are added when a process publishes its block
 // point (end of prepareBlock) and cleared when it leaves it
-// (releaseLosingCases, fail) or wholesale on restore().
+// (leaveBlock, fail) or wholesale on restore().
 
 void Machine::addWaitBits(unsigned ProcIndex) {
   const ProcState &P = Procs[ProcIndex];
@@ -213,18 +213,6 @@ void Machine::rebuildWaitBits() {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-bool exprIsAllocation(const Expr *E) {
-  switch (E->getKind()) {
-  case ExprKind::RecordLit:
-  case ExprKind::UnionLit:
-  case ExprKind::ArrayLit:
-  case ExprKind::Cast:
-    return true;
-  default:
-    return false;
-  }
-}
 
 SourceLoc plainStoreTargetLoc(const CInst &I) {
   return ast_cast<MatchPattern>(I.Src->LHS)->getValue()->getLoc();
@@ -538,9 +526,16 @@ void Machine::dropValueTemp(const Value &V, SourceLoc Loc, int ProcIndex) {
          "releasing freed temporary");
 }
 
-void Machine::dropSenderTemp(const Expr *OutExpr, const Value &V) {
-  if (OutExpr && exprIsAllocation(OutExpr))
-    dropValueTemp(V, OutExpr->getLoc(), -1);
+void Machine::dropSenderTemps(const CCase &Case,
+                              const std::vector<Value> &Values) {
+  if (!Case.ElideRecordAlloc) {
+    if (Case.OutIsAlloc)
+      dropValueTemp(Values[0], Case.Src->Loc, -1);
+    return;
+  }
+  for (size_t F = 0, NF = Values.size(); F != NF; ++F)
+    if (Case.ElideFieldIsAlloc[F])
+      dropValueTemp(Values[F], Case.Src->Loc, -1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -779,7 +774,7 @@ bool Machine::outValues(unsigned ProcIndex, unsigned CaseIndex,
   return true;
 }
 
-void Machine::releaseLosingCases(unsigned ProcIndex, unsigned WinnerCase) {
+void Machine::leaveBlock(unsigned ProcIndex, unsigned WinnerCase) {
   clearWaitBits(ProcIndex);
   ProcState &P = Procs[ProcIndex];
   const CInst &I = CP.Procs[ProcIndex].Insts[P.PC];
@@ -791,21 +786,14 @@ void Machine::releaseLosingCases(unsigned ProcIndex, unsigned WinnerCase) {
     if (I.Cases.size() > 1)
       Obs->onAltChoice(*this, ProcIndex, WinnerCase);
   }
-  for (size_t C = 0, N = I.Cases.size(); C != N; ++C) {
-    if (C == WinnerCase || !P.PreparedValid[C])
-      continue;
-    const CCase &Case = I.Cases[C];
-    if (Case.ElideRecordAlloc) {
-      const RecordLitExpr *R = ast_cast<RecordLitExpr>(Case.Src->Out);
-      for (size_t F = 0, NF = R->getElems().size(); F != NF; ++F)
-        dropSenderTemp(R->getElems()[F], P.Prepared[C][F]);
-    } else if (Case.Src->Out) {
-      dropSenderTemp(Case.Src->Out, P.Prepared[C][0]);
-    }
-  }
+  for (size_t C = 0, N = I.Cases.size(); C != N; ++C)
+    if (C != WinnerCase && P.PreparedValid[C])
+      dropSenderTemps(I.Cases[C], P.Prepared[C]);
   P.Prepared.clear();
   P.PreparedValid.clear();
   P.CaseEnabled.clear();
+  P.PC = I.Cases[WinnerCase].Target;
+  P.St = ProcState::Status::Ready;
 }
 
 //===----------------------------------------------------------------------===//
@@ -909,57 +897,115 @@ bool Machine::matchValues(unsigned ReaderIndex, uint32_t PatIndex,
   return true;
 }
 
-Machine::MsgDisc
-Machine::discOfValues(const std::vector<Value> &Values) const {
+Discriminant Machine::discOfValues(const std::vector<Value> &Values) const {
   if (Values.size() != 1)
-    return MsgDisc();
+    return Discriminant();
   return discOf(H, Values[0]);
 }
 
-Machine::MsgDisc Machine::discOf(const Heap &Hp, const Value &V) {
-  MsgDisc D;
+Discriminant Machine::discOf(const Heap &Hp, const Value &V) {
+  Discriminant D;
   if (V.isRef()) {
     const HeapObject *Obj = Hp.deref(V);
     if (Obj && Obj->ObjType->isUnion()) {
-      D.Kind = MsgDisc::K::UnionArm;
+      D.Kind = Discriminant::K::UnionArm;
       D.Arm = Obj->Arm;
     }
     return D;
   }
   if (V.K == Value::Kind::Int || V.K == Value::Kind::Bool) {
-    D.Kind = MsgDisc::K::Scalar;
+    D.Kind = Discriminant::K::Scalar;
     D.Scalar = V.Scalar;
   }
   return D;
 }
 
 //===----------------------------------------------------------------------===//
-// Transfer
+// Dispatch and transfer
 //===----------------------------------------------------------------------===//
+
+template <typename WalkFn, typename VisitFn>
+bool Machine::scanReaders(uint32_t ChanId, const Discriminant &D, int Sender,
+                          unsigned SenderCase, WalkFn &&Walk,
+                          VisitFn &&Visit) {
+  // Readers are visited LSB-first, i.e. in ascending process order.
+  const bool StopAtFirst = Sender >= 0 && CP.Channels[ChanId].Disjoint;
+  int Owner = -1; // Process of the first accepting case.
+  const uint64_t *Mask = inWait(ChanId);
+  for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
+    for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
+      unsigned R = Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
+      if (static_cast<int>(R) == Sender ||
+          Procs[R].St != ProcState::Status::Blocked)
+        continue;
+      const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
+      for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
+        const CCase &RCase = RI.Cases[RC];
+        if (!RCase.IsIn || RCase.ChanId != ChanId ||
+            !Procs[R].CaseEnabled[RC] || discRejects(RCase.Disc, D))
+          continue;
+        const std::vector<Value> *Values = Walk(RCase);
+        if (Error)
+          return false;
+        if (Values && !matchValues(R, RCase.Pat, *Values, MatchMode::Try)) {
+          if (Error)
+            return false;
+          continue;
+        }
+        if (Sender >= 0 && Owner >= 0 && Owner != static_cast<int>(R)) {
+          const CCase &From =
+              CP.Procs[Sender].Insts[Procs[Sender].PC].Cases[SenderCase];
+          fail(RuntimeErrorKind::AmbiguousDispatch, From.Src->Loc, Sender,
+               "message on channel '" + From.Src->Channel->Name +
+                   "' matches patterns in two processes");
+          return false;
+        }
+        Owner = static_cast<int>(R);
+        if (!Visit(R, static_cast<unsigned>(RC)) || StopAtFirst)
+          return true;
+      }
+    }
+  }
+  return true;
+}
+
+template <typename VisitFn>
+bool Machine::offerMessage(unsigned WriterIndex, unsigned WriterCase,
+                           VisitFn &&Visit) {
+  const CCase &WCase =
+      CP.Procs[WriterIndex].Insts[Procs[WriterIndex].PC].Cases[WriterCase];
+  const bool NeedValue = !(WCase.LazyOut && WCase.MatchFree);
+  std::vector<Value> Values;
+  if (NeedValue && !outValues(WriterIndex, WriterCase, Values))
+    return false;
+  return scanReaders(
+      WCase.ChanId, discOfValues(Values), static_cast<int>(WriterIndex),
+      WriterCase,
+      [&](const CCase &) { return NeedValue ? &Values : nullptr; }, Visit);
+}
 
 bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
                        unsigned ReaderCase,
-                       const std::vector<Value> *EnvValues) {
+                       const std::vector<Value> *EnvValues, bool EnvMatched) {
   // 1. Obtain the value(s) from the writer side.
-  std::vector<Value> Values;
+  std::vector<Value> Prepared;
   const CCase *WCase = nullptr;
   if (WriterIndex >= 0) {
     WCase = &CP.Procs[WriterIndex].Insts[Procs[WriterIndex].PC]
                  .Cases[WriterCase];
-    if (!outValues(static_cast<unsigned>(WriterIndex), WriterCase, Values))
+    if (!outValues(static_cast<unsigned>(WriterIndex), WriterCase, Prepared))
       return false;
-  } else {
-    assert(EnvValues && "environment send without values");
-    Values = *EnvValues;
   }
+  assert((WCase || EnvValues) && "environment send without values");
+  const std::vector<Value> &Values = WCase ? Prepared : *EnvValues;
 
   // 2. Deliver to the reader side.
   const CCase *RCase = nullptr;
   if (ReaderIndex >= 0) {
     RCase = &CP.Procs[ReaderIndex].Insts[Procs[ReaderIndex].PC]
                  .Cases[ReaderCase];
-    if (!matchValues(static_cast<unsigned>(ReaderIndex), RCase->Pat, Values,
-                     MatchMode::Try)) {
+    if (!EnvMatched && !matchValues(static_cast<unsigned>(ReaderIndex),
+                                    RCase->Pat, Values, MatchMode::Try)) {
       if (!Error)
         fail(RuntimeErrorKind::NoMatchingPattern, RCase->Src->Loc,
              ReaderIndex,
@@ -977,34 +1023,27 @@ bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
     Obs->onRecv(*this, Chan, ReaderIndex);
   }
 
-  // 3. Writer-side cleanup and advance.
+  // 3. Writer side. Environment-produced values are owned temps; release
+  // them now that the receiver has acquired what it binds.
   if (WriterIndex >= 0) {
-    if (WCase->ElideRecordAlloc) {
-      const RecordLitExpr *R = ast_cast<RecordLitExpr>(WCase->Src->Out);
-      for (size_t F = 0, NF = R->getElems().size(); F != NF; ++F)
-        dropSenderTemp(R->getElems()[F], Values[F]);
-    } else {
-      dropSenderTemp(WCase->Src->Out, Values[0]);
-    }
-    unsigned Target = WCase->Target;
-    releaseLosingCases(static_cast<unsigned>(WriterIndex), WriterCase);
-    Procs[WriterIndex].PC = Target;
-    Procs[WriterIndex].St = ProcState::Status::Ready;
+    commitWriter(static_cast<unsigned>(WriterIndex), WriterCase, Values);
   } else {
-    // Environment-produced values are owned temps; release them now that
-    // the receiver has acquired what it binds.
     for (const Value &V : Values)
       dropValueTemp(V, SourceLoc(), -1);
   }
 
-  // 4. Reader-side advance.
-  if (ReaderIndex >= 0) {
-    unsigned Target = RCase->Target;
-    releaseLosingCases(static_cast<unsigned>(ReaderIndex), ReaderCase);
-    Procs[ReaderIndex].PC = Target;
-    Procs[ReaderIndex].St = ProcState::Status::Ready;
-  }
+  // 4. Reader side.
+  if (ReaderIndex >= 0)
+    leaveBlock(static_cast<unsigned>(ReaderIndex), ReaderCase);
   return !Error;
+}
+
+void Machine::commitWriter(unsigned WriterIndex, unsigned WriterCase,
+                           const std::vector<Value> &Values) {
+  dropSenderTemps(
+      CP.Procs[WriterIndex].Insts[Procs[WriterIndex].PC].Cases[WriterCase],
+      Values);
+  leaveBlock(WriterIndex, WriterCase);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1053,11 +1092,7 @@ bool Machine::tryExternalOut(unsigned ProcIndex, unsigned CaseIndex) {
       Obs->onSend(*this, Case.ChanId, static_cast<int>(ProcIndex));
       Obs->onRecv(*this, Case.ChanId, -1);
     }
-    dropSenderTemp(Case.Src->Out, V);
-    unsigned Target = Case.Target;
-    releaseLosingCases(ProcIndex, CaseIndex);
-    Procs[ProcIndex].PC = Target;
-    Procs[ProcIndex].St = ProcState::Status::Ready;
+    commitWriter(ProcIndex, CaseIndex, Values);
     return true;
   }
   fail(RuntimeErrorKind::NoMatchingPattern, Case.Src->Loc,
@@ -1075,13 +1110,15 @@ bool Machine::tryPair(unsigned ProcIndex) {
   size_t N = I.Cases.size();
   for (size_t CO = 0; CO != N; ++CO) {
     // Rotate the starting case to avoid starving later alternatives.
-    size_t C = (CO + PollRotor) % N;
+    const unsigned C = static_cast<unsigned>((CO + PollRotor) % N);
     if (!P.CaseEnabled[C])
       continue;
     const CCase &Case = I.Cases[C];
     if (Case.IsIn) {
-      // Scan the channel's blocked-writer bitmask (LSB-first, so writers
-      // are visited in ascending process order, same as the old scan).
+      // Offer each blocked writer's message (ascending process order) to
+      // the reader scan and pair when this case accepts it. The scan sees
+      // every other reader too, so a message two processes accept is an
+      // AmbiguousDispatch whichever side arrived first.
       const uint64_t *Mask = outWait(Case.ChanId);
       for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
         for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
@@ -1090,29 +1127,21 @@ bool Machine::tryPair(unsigned ProcIndex) {
           if (W == ProcIndex || Procs[W].St != ProcState::Status::Blocked)
             continue;
           const CInst &WI = CP.Procs[W].Insts[Procs[W].PC];
-          for (size_t WC = 0, NW = WI.Cases.size(); WC != NW; ++WC) {
+          for (unsigned WC = 0, NW = WI.Cases.size(); WC != NW; ++WC) {
             const CCase &WCase = WI.Cases[WC];
             if (WCase.IsIn || WCase.ChanId != Case.ChanId ||
                 !Procs[W].CaseEnabled[WC])
               continue;
-            // A MatchFree lazy writer pairs without materializing its
-            // value: allocation is postponed to the commit (§6.1).
-            if (!(WCase.LazyOut && WCase.MatchFree)) {
-              std::vector<Value> Values;
-              if (!outValues(W, static_cast<unsigned>(WC), Values))
-                return false;
-              if (discRejects(Case.Disc, discOfValues(Values)))
-                continue;
-              if (!matchValues(ProcIndex, Case.Pat, Values,
-                               MatchMode::Try)) {
-                if (Error)
-                  return false;
-                continue;
-              }
-            }
-            if (!transfer(static_cast<int>(W), static_cast<unsigned>(WC),
-                          static_cast<int>(ProcIndex),
-                          static_cast<unsigned>(C), nullptr))
+            bool Accepted = false;
+            if (!offerMessage(W, WC, [&](unsigned R, unsigned RC) {
+                  Accepted |= R == ProcIndex && RC == C;
+                  return true;
+                }))
+              return false;
+            if (!Accepted)
+              continue;
+            if (!transfer(static_cast<int>(W), WC,
+                          static_cast<int>(ProcIndex), C, nullptr))
               return false;
             // Stack-based policy: the peer joins the ready queue; the
             // initiator goes to the front so the next pop continues it.
@@ -1123,74 +1152,26 @@ bool Machine::tryPair(unsigned ProcIndex) {
         }
       }
     } else {
-      // Find the blocked internal reader whose pattern matches our value;
-      // two matching readers is a dispatch-disjointness violation. When
-      // the channel's reader patterns are statically disjoint the first
-      // match is provably the only one and the scan stops there.
-      const bool NeedValue = !(Case.LazyOut && Case.MatchFree);
-      std::vector<Value> Values;
-      if (NeedValue &&
-          !outValues(ProcIndex, static_cast<unsigned>(C), Values))
+      int Reader = -1;
+      unsigned ReaderCase = 0;
+      if (!offerMessage(ProcIndex, C, [&](unsigned R, unsigned RC) {
+            if (Reader < 0) {
+              Reader = static_cast<int>(R);
+              ReaderCase = RC;
+            }
+            return true;
+          }))
         return false;
-      MsgDisc D;
-      if (NeedValue)
-        D = discOfValues(Values);
-      int FoundReader = -1;
-      unsigned FoundCase = 0;
-      const bool Disjoint = CP.Channels[Case.ChanId].Disjoint;
-      bool Stop = false;
-      const uint64_t *Mask = inWait(Case.ChanId);
-      for (unsigned Word = 0; Word != CP.MaskWords && !Stop; ++Word) {
-        for (uint64_t Bits = Mask[Word]; Bits && !Stop; Bits &= Bits - 1) {
-          unsigned R =
-              Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-          if (R == ProcIndex || Procs[R].St != ProcState::Status::Blocked)
-            continue;
-          const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-          for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-            const CCase &RCase = RI.Cases[RC];
-            if (!RCase.IsIn || RCase.ChanId != Case.ChanId ||
-                !Procs[R].CaseEnabled[RC])
-              continue;
-            if (NeedValue) {
-              if (discRejects(RCase.Disc, D))
-                continue;
-              if (!matchValues(R, RCase.Pat, Values, MatchMode::Try)) {
-                if (Error)
-                  return false;
-                continue;
-              }
-            }
-            if (FoundReader >= 0 && FoundReader != static_cast<int>(R)) {
-              fail(RuntimeErrorKind::AmbiguousDispatch, Case.Src->Loc,
-                   static_cast<int>(ProcIndex),
-                   "message on channel '" + Case.Src->Channel->Name +
-                       "' matches patterns in two processes");
-              return false;
-            }
-            if (FoundReader < 0) {
-              FoundReader = static_cast<int>(R);
-              FoundCase = static_cast<unsigned>(RC);
-              if (Disjoint) {
-                Stop = true;
-                break;
-              }
-            }
-          }
-        }
-      }
-      if (FoundReader >= 0) {
-        if (!transfer(static_cast<int>(ProcIndex),
-                      static_cast<unsigned>(C), FoundReader, FoundCase,
+      if (Reader >= 0) {
+        if (!transfer(static_cast<int>(ProcIndex), C, Reader, ReaderCase,
                       nullptr))
           return false;
-        ReadyQueue.push_back(static_cast<unsigned>(FoundReader));
+        ReadyQueue.push_back(static_cast<unsigned>(Reader));
         ReadyQueue.push_front(ProcIndex);
         return true;
       }
       // Or hand it to an external reader.
-      if (Readers[Case.ChanId] &&
-          tryExternalOut(ProcIndex, static_cast<unsigned>(C))) {
+      if (Readers[Case.ChanId] && tryExternalOut(ProcIndex, C)) {
         ReadyQueue.push_back(ProcIndex);
         return true;
       }
@@ -1310,13 +1291,10 @@ bool Machine::deliverExternalIn(unsigned ChannelId) {
   int CaseIndex = Writer->isReady();
   if (CaseIndex <= 0)
     return false;
-  const ChannelDecl *Chan = nullptr;
-  for (const std::unique_ptr<ChannelDecl> &C : Module.Prog->Channels)
-    if (C->Id == ChannelId)
-      Chan = C.get();
-  assert(Chan && Chan->Interface && "bad external channel");
+  const ChannelDecl &Chan = *Module.Prog->Channels[ChannelId];
+  assert(Chan.Id == ChannelId && Chan.Interface && "bad external channel");
   const InterfaceCase &ICase =
-      Chan->Interface->Cases[static_cast<size_t>(CaseIndex) - 1];
+      Chan.Interface->Cases[static_cast<size_t>(CaseIndex) - 1];
 
   std::vector<Value> Binders;
   Writer->produce(CaseIndex, H, Binders);
@@ -1326,53 +1304,34 @@ bool Machine::deliverExternalIn(unsigned ChannelId) {
   if (!V)
     return false;
 
-  // Find the blocked reader whose pattern matches.
+  // A message from outside goes to the first blocked reader that accepts
+  // it.
   std::vector<Value> Values = {*V};
-  MsgDisc D = discOfValues(Values);
-  const uint64_t *Mask = inWait(ChannelId);
-  for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
-    for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
-      unsigned R = Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-      if (Procs[R].St != ProcState::Status::Blocked)
-        continue;
-      const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-      for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-        const CCase &RCase = RI.Cases[RC];
-        if (!RCase.IsIn || RCase.ChanId != ChannelId ||
-            !Procs[R].CaseEnabled[RC])
-          continue;
-        if (discRejects(RCase.Disc, D))
-          continue;
-        if (!matchValues(R, RCase.Pat, Values, MatchMode::Try)) {
-          if (Error)
+  int Reader = -1;
+  unsigned ReaderCase = 0;
+  if (!scanReaders(
+          ChannelId, discOf(H, *V), -1, 0,
+          [&](const CCase &) { return &Values; },
+          [&](unsigned R, unsigned RC) {
+            Reader = static_cast<int>(R);
+            ReaderCase = RC;
             return false;
-          continue;
-        }
-        if (!matchValues(R, RCase.Pat, Values, MatchMode::CommitAcquire))
-          return false;
-        Writer->accepted(CaseIndex);
-        if (Obs) {
-          Obs->onSend(*this, ChannelId, -1);
-          Obs->onRecv(*this, ChannelId, static_cast<int>(R));
-        }
-        dropValueTemp(*V, ICase.Loc, -1);
-        unsigned Target = RCase.Target;
-        releaseLosingCases(R, static_cast<unsigned>(RC));
-        Procs[R].PC = Target;
-        Procs[R].St = ProcState::Status::Ready;
-        ReadyQueue.push_back(R);
-        ++Stats.ExternalDeliveries;
-        ++Stats.Rendezvous;
-        return true;
-      }
-    }
+          }))
+    return false;
+  if (Reader < 0) {
+    // No process is waiting for this message right now; drop it back. A
+    // real firmware would leave it in the device queue; our bindings are
+    // required to re-offer it on the next poll, so releasing the built
+    // value is safe.
+    dropValueTemp(*V, ICase.Loc, -1);
+    return false;
   }
-  // No process is waiting for this message right now; drop it back. A
-  // real firmware would leave it in the device queue; our bindings are
-  // required to re-offer it on the next poll, so releasing the built
-  // value is safe.
-  dropValueTemp(*V, ICase.Loc, -1);
-  return false;
+  if (!transfer(-1, 0, Reader, ReaderCase, &Values, /*EnvMatched=*/true))
+    return false;
+  Writer->accepted(CaseIndex);
+  ReadyQueue.push_back(static_cast<unsigned>(Reader));
+  ++Stats.ExternalDeliveries;
+  return true;
 }
 
 bool Machine::pollExternals() {
@@ -1494,18 +1453,25 @@ std::vector<Move> Machine::enumerateMoves() {
       const CCase &Case = Ins.Cases[C];
       if (!P.PreparedValid[C] || Case.IsIn || !Case.LazyOut)
         continue;
-      if (Case.ElideRecordAlloc) {
-        const RecordLitExpr *R = ast_cast<RecordLitExpr>(Case.Src->Out);
-        for (size_t F = 0, NF = R->getElems().size(); F != NF; ++F)
-          dropSenderTemp(R->getElems()[F], P.Prepared[C][F]);
-      } else if (Case.Src->Out) {
-        dropSenderTemp(Case.Src->Out, P.Prepared[C][0]);
-      }
+      dropSenderTemps(Case, P.Prepared[C]);
       P.Prepared[C].clear();
       P.PreparedValid[C] = false;
     }
   }
   return Moves;
+}
+
+/// True when a process other than \p P reads the channel of \p CI
+/// somewhere in its body.
+static bool readByOtherProcess(const ChannelInfo &CI, unsigned P) {
+  for (size_t Word = 0, NW = CI.StaticReaders.size(); Word != NW; ++Word) {
+    uint64_t Bits = CI.StaticReaders[Word];
+    if (Word == P / 64)
+      Bits &= ~(uint64_t(1) << (P % 64));
+    if (Bits)
+      return true;
+  }
+  return false;
 }
 
 std::vector<Move> Machine::enumerateMovesImpl() {
@@ -1517,96 +1483,42 @@ std::vector<Move> Machine::enumerateMovesImpl() {
     if (Procs[W].St != ProcState::Status::Blocked)
       continue;
     const CInst &WI = CP.Procs[W].Insts[Procs[W].PC];
-    for (size_t WC = 0, NW = WI.Cases.size(); WC != NW; ++WC) {
+    for (unsigned WC = 0, NW = WI.Cases.size(); WC != NW; ++WC) {
       const CCase &WCase = WI.Cases[WC];
       if (WCase.IsIn || !Procs[W].CaseEnabled[WC])
         continue;
+      // Every out value is evaluated here, lazy ones included, so an
+      // evaluation fault surfaces in this state.
       std::vector<Value> Values;
-      if (!outValues(W, static_cast<unsigned>(WC), Values))
+      if (!outValues(W, WC, Values))
         return Moves;
-      MsgDisc D = discOfValues(Values);
-      const bool Disjoint = CP.Channels[WCase.ChanId].Disjoint;
-      int MatchingReaderOwner = -1;
-      bool Stop = false;
-      const uint64_t *Mask = inWait(WCase.ChanId);
-      for (unsigned Word = 0; Word != CP.MaskWords && !Stop; ++Word) {
-        for (uint64_t Bits = Mask[Word]; Bits && !Stop; Bits &= Bits - 1) {
-          unsigned R =
-              Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-          if (R == W || Procs[R].St != ProcState::Status::Blocked)
-            continue;
-          const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-          for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-            const CCase &RCase = RI.Cases[RC];
-            if (!RCase.IsIn || RCase.ChanId != WCase.ChanId ||
-                !Procs[R].CaseEnabled[RC])
-              continue;
-            if (discRejects(RCase.Disc, D))
-              continue;
-            if (!matchValues(R, RCase.Pat, Values, MatchMode::Try)) {
-              if (Error)
-                return Moves;
-              continue;
-            }
-            if (MatchingReaderOwner >= 0 &&
-                MatchingReaderOwner != static_cast<int>(R)) {
-              fail(RuntimeErrorKind::AmbiguousDispatch, WCase.Src->Loc,
-                   static_cast<int>(W),
-                   "message on channel '" + WCase.Src->Channel->Name +
-                       "' matches patterns in two processes");
-              return Moves;
-            }
-            MatchingReaderOwner = static_cast<int>(R);
-            Move M;
-            M.K = Move::Kind::Rendezvous;
-            M.Channel = WCase.ChanId;
-            M.Writer = static_cast<int>(W);
-            M.WriterCase = static_cast<unsigned>(WC);
-            M.Reader = static_cast<int>(R);
-            M.ReaderCase = static_cast<unsigned>(RC);
-            Moves.push_back(M);
-            if (Disjoint) {
-              Stop = true;
-              break;
-            }
-          }
-        }
-      }
-      // Environment receive.
-      if (Env && Env->numVariants(WCase.Src->Channel) == 0 &&
-          WCase.Src->Channel->Role == ChannelRole::ExternalReader) {
-        Move M;
+      Move M;
+      M.Channel = WCase.ChanId;
+      M.Writer = static_cast<int>(W);
+      M.WriterCase = WC;
+      if (!scanReaders(
+              WCase.ChanId, discOfValues(Values), static_cast<int>(W), WC,
+              [&](const CCase &) { return &Values; },
+              [&](unsigned R, unsigned RC) {
+                M.Reader = static_cast<int>(R);
+                M.ReaderCase = RC;
+                Moves.push_back(M);
+                return true;
+              }))
+        return Moves;
+      // Environment receive: the environment consumes what it does not
+      // drive on an external-reader channel and, in per-process harness
+      // mode, on any channel no other process can ever read (then no
+      // rendezvous was listed above either: wait bits only ever name
+      // static readers).
+      const ChannelDecl &Chan = *WCase.Src->Channel;
+      if (Env && Env->numVariants(&Chan) == 0 &&
+          (Chan.Role == ChannelRole::ExternalReader ||
+           !readByOtherProcess(CP.Channels[WCase.ChanId], W))) {
         M.K = Move::Kind::EnvRecv;
-        M.Channel = WCase.ChanId;
-        M.Writer = static_cast<int>(W);
-        M.WriterCase = static_cast<unsigned>(WC);
+        M.Reader = -1;
+        M.ReaderCase = 0;
         Moves.push_back(M);
-      }
-      // In per-process harness mode the environment consumes from any
-      // channel it does not drive and no other process can ever read
-      // (the precomputed static-reader masks answer that in O(words)).
-      if (Env && WCase.Src->Channel->Role != ChannelRole::ExternalReader &&
-          Env->numVariants(WCase.Src->Channel) == 0 &&
-          MatchingReaderOwner < 0) {
-        bool AnyInternalReader = false;
-        const ChannelInfo &CInfo = CP.Channels[WCase.ChanId];
-        for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
-          uint64_t Bits = CInfo.StaticReaders[Word];
-          if (Word == W / 64)
-            Bits &= ~(uint64_t(1) << (W % 64));
-          if (Bits) {
-            AnyInternalReader = true;
-            break;
-          }
-        }
-        if (!AnyInternalReader) {
-          Move M;
-          M.K = Move::Kind::EnvRecv;
-          M.Channel = WCase.ChanId;
-          M.Writer = static_cast<int>(W);
-          M.WriterCase = static_cast<unsigned>(WC);
-          Moves.push_back(M);
-        }
       }
     }
   }
@@ -1627,17 +1539,17 @@ Value Machine::buildEnvValue(const ChannelDecl &Chan, unsigned Variant,
   return V;
 }
 
-const std::vector<Machine::MsgDisc> *
+const std::vector<Discriminant> *
 Machine::envDiscs(const ChannelDecl &Chan) {
   if (EnvDiscs.empty())
     EnvDiscs.resize(Module.Prog->Channels.size());
-  std::optional<std::vector<MsgDisc>> &Discs = EnvDiscs[Chan.Id];
+  std::optional<std::vector<Discriminant>> &Discs = EnvDiscs[Chan.Id];
   if (Discs)
     return &*Discs;
   // Variants are pure functions of (channel, index), so one build each
   // in a scratch heap stands for every state.
   Heap Scratch;
-  std::vector<MsgDisc> Built(Env->numVariants(&Chan));
+  std::vector<Discriminant> Built(Env->numVariants(&Chan));
   for (unsigned Variant = 0, NV = static_cast<unsigned>(Built.size());
        Variant != NV; ++Variant) {
     Value V = buildEnvValue(Chan, Variant, Scratch);
@@ -1661,50 +1573,36 @@ void Machine::enumerateEnvSends(std::vector<Move> &Moves) {
     if (std::all_of(Mask, Mask + CP.MaskWords,
                     [](uint64_t Word) { return Word == 0; }))
       continue;
-    const std::vector<MsgDisc> *Discs = envDiscs(*Chan);
+    const std::vector<Discriminant> *Discs = envDiscs(*Chan);
     if (!Discs)
       return;
     std::vector<Value> Values; // Built only for a refutable reader.
     for (unsigned Variant = 0, NV = static_cast<unsigned>(Discs->size());
          Variant != NV; ++Variant) {
-      const MsgDisc &D = (*Discs)[Variant];
+      const Discriminant &D = (*Discs)[Variant];
       Values.clear();
-      for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
-        for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
-          unsigned R =
-              Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-          if (Procs[R].St != ProcState::Status::Blocked)
-            continue;
-          const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-          for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-            const CCase &RCase = RI.Cases[RC];
-            if (!RCase.IsIn || RCase.ChanId != Id || !Procs[R].CaseEnabled[RC])
-              continue;
-            if (discRejects(RCase.Disc, D))
-              continue;
-            if (!discDecides(RCase, D)) {
-              if (Values.empty()) {
-                Value V = buildEnvValue(*Chan, Variant, H);
-                if (Error)
-                  return;
-                Values.push_back(V);
-              }
-              if (!matchValues(R, RCase.Pat, Values, MatchMode::Try)) {
-                if (Error)
-                  return;
-                continue;
-              }
-            }
-            Move M;
-            M.K = Move::Kind::EnvSend;
-            M.Channel = Id;
-            M.Reader = static_cast<int>(R);
-            M.ReaderCase = static_cast<unsigned>(RC);
-            M.EnvVariant = Variant;
-            Moves.push_back(M);
-          }
+      auto Walk = [&](const CCase &RCase) -> const std::vector<Value> * {
+        if (discDecides(RCase, D))
+          return nullptr;
+        if (Values.empty()) {
+          Value V = buildEnvValue(*Chan, Variant, H);
+          if (Error)
+            return nullptr;
+          Values.push_back(V);
         }
-      }
+        return &Values;
+      };
+      Move M;
+      M.K = Move::Kind::EnvSend;
+      M.Channel = Id;
+      M.EnvVariant = Variant;
+      if (!scanReaders(Id, D, -1, 0, Walk, [&](unsigned R, unsigned RC) {
+            M.Reader = static_cast<int>(R);
+            M.ReaderCase = RC;
+            Moves.push_back(M);
+            return true;
+          }))
+        return;
       // Free the value so enumeration does not perturb the state.
       if (!Values.empty()) {
         dropValueTemp(Values[0], SourceLoc(), -1);
@@ -1764,15 +1662,13 @@ bool Machine::stuckOnEnvBudget() {
   return Any && !Error;
 }
 
-bool Machine::isDeadlocked() {
-  if (Error)
+bool Machine::isDeadlocked(const std::vector<Move> &Moves) {
+  if (Error || !Moves.empty() ||
+      std::none_of(Procs.begin(), Procs.end(), [](const ProcState &P) {
+        return P.St == ProcState::Status::Blocked;
+      }))
     return false;
-  bool AnyBlocked = false;
-  for (const ProcState &P : Procs)
-    AnyBlocked |= P.St == ProcState::Status::Blocked;
-  if (!AnyBlocked)
-    return false;
-  return enumerateMoves().empty() && !Error;
+  return !stuckOnEnvBudget();
 }
 
 //===----------------------------------------------------------------------===//

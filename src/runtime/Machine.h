@@ -393,14 +393,12 @@ public:
   /// keep polling error()).
   StepResult applyMove(const Move &M);
 
-  /// True when no move is enabled and some process is still Blocked.
-  bool isDeadlocked();
-
-  /// True when the machine is stuck only because the finite environment
-  /// workload (MachineOptions::EnvSendBudget) is spent: lifting the
-  /// budget would enable at least one move. Such a state is quiescent
-  /// termination of the bounded harness, not a deadlock.
-  bool stuckOnEnvBudget();
+  /// The deadlock predicate over \p Moves, the move list enumerated in
+  /// the current state: no move is enabled, no error is set, some process
+  /// is still Blocked, and the machine is not merely stuck on a spent
+  /// environment budget (MachineOptions::EnvSendBudget), which is the
+  /// quiescent end of a bounded harness rather than a deadlock.
+  bool isDeadlocked(const std::vector<Move> &Moves);
 
   /// True when every process ran to completion.
   bool allDone() const;
@@ -498,24 +496,57 @@ private:
   bool outValues(unsigned ProcIndex, unsigned CaseIndex,
                  std::vector<Value> &Values);
 
-  /// Releases the temp reference of prepared-but-unused out values when a
-  /// different case of the alt commits.
-  void releaseLosingCases(unsigned ProcIndex, unsigned WinnerCase);
+  /// Moves blocked process \p ProcIndex past its Block through case
+  /// \p WinnerCase: clears its wait bits, releases the temps of the
+  /// other cases' prepared out values, and makes it Ready at the case's
+  /// target. Every commit ends here for each participating process.
+  void leaveBlock(unsigned ProcIndex, unsigned WinnerCase);
 
   /// Grants the receiver its reference for each aggregate bound by the
   /// pattern: rc++ in sharing mode, deep copy in verification mode.
   std::optional<Value> receiverAcquire(const Value &V);
   std::optional<Value> deepCopy(const Value &V);
 
-  /// Drops the sender-side temp reference when the out expression was an
-  /// allocation.
-  void dropSenderTemp(const Expr *OutExpr, const Value &V);
+  /// Drops the sender-side temp reference of each out value of \p Case
+  /// that is a fresh allocation (CCase::OutIsAlloc/ElideFieldIsAlloc).
+  void dropSenderTemps(const CCase &Case, const std::vector<Value> &Values);
   void dropValueTemp(const Value &V, SourceLoc Loc, int ProcIndex);
 
   /// Performs a committed rendezvous between a writer and a reader case.
-  /// Either side may be the environment/externals.
+  /// Either side may be the environment/externals; an outside writer
+  /// passes its owned values in \p EnvValues. The reader's pattern is
+  /// dry-run walked before the binding one unless \p EnvMatched says
+  /// the caller's reader scan already accepted *EnvValues for this case.
   bool transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
-                unsigned ReaderCase, const std::vector<Value> *EnvValues);
+                unsigned ReaderCase, const std::vector<Value> *EnvValues,
+                bool EnvMatched = false);
+  /// The writer side of a commit: releases the sender temps of \p Values
+  /// and moves the writer past its Block.
+  void commitWriter(unsigned WriterIndex, unsigned WriterCase,
+                    const std::vector<Value> &Values);
+
+  /// The one reader scan of §4.2 dispatch, shared by pairing, external
+  /// delivery and move enumeration. Visits, in wait-mask order, each
+  /// enabled in-case on \p ChanId of a blocked process that accepts a
+  /// message with discriminant \p D: the discriminant rejects first,
+  /// then the case's pattern is walked (MatchMode::Try) over the values
+  /// \p Walk(case) returns, unless it returns null (the match is
+  /// certain). \p Visit(reader, case) returns false to stop the scan.
+  /// A message from process \p Sender (case \p SenderCase) skips the
+  /// sender itself, is an AmbiguousDispatch when cases of two processes
+  /// accept it, and stops after its first match on a Disjoint channel; a
+  /// message from outside (\p Sender < 0) is offered to every case.
+  /// Returns false when the scan faulted (machine error set).
+  template <typename WalkFn, typename VisitFn>
+  bool scanReaders(uint32_t ChanId, const Discriminant &D, int Sender,
+                   unsigned SenderCase, WalkFn &&Walk, VisitFn &&Visit);
+  /// Offers the message of blocked writer \p WriterIndex's case
+  /// \p WriterCase to scanReaders. A MatchFree lazy case offers it
+  /// without materializing the value: allocation is postponed to the
+  /// commit (§6.1).
+  template <typename VisitFn>
+  bool offerMessage(unsigned WriterIndex, unsigned WriterCase,
+                    VisitFn &&Visit);
 
   /// enumerateMoves without the purity cleanup (the raw probe walk).
   std::vector<Move> enumerateMovesImpl();
@@ -526,46 +557,44 @@ private:
   /// machine heap, or the discriminant table's scratch heap). On
   /// object-table exhaustion sets OutOfObjects and returns Uninit.
   Value buildEnvValue(const ChannelDecl &Chan, unsigned Variant, Heap &Into);
+  /// True when the machine is stuck only because the finite environment
+  /// workload (MachineOptions::EnvSendBudget) is spent: lifting the
+  /// budget would enable at least one move.
+  bool stuckOnEnvBudget();
 
   //===--- Dispatch tables and wait bitmasks --------------------------------===//
 
-  /// The top-level discriminant of a concrete message, if it has one.
-  struct MsgDisc {
-    enum class K : uint8_t { None, UnionArm, Scalar } Kind = K::None;
-    int32_t Arm = -1;
-    int64_t Scalar = 0;
-  };
-  static MsgDisc discOf(const Heap &Hp, const Value &V);
-  MsgDisc discOfValues(const std::vector<Value> &Values) const;
-  /// True when the dispatch table proves \p Case cannot match a message
-  /// with discriminant \p D (so the pattern walk is skipped entirely).
-  static bool discRejects(const CaseDisc &Case, const MsgDisc &D) {
-    if (Case.Kind == CaseDisc::K::UnionArm && D.Kind == MsgDisc::K::UnionArm)
-      return Case.Arm != D.Arm;
-    if (Case.Kind == CaseDisc::K::Scalar && D.Kind == MsgDisc::K::Scalar)
-      return Case.Scalar != D.Scalar;
+  /// The top-level discriminant of a concrete message; none for an
+  /// elided record's field values.
+  static Discriminant discOf(const Heap &Hp, const Value &V);
+  Discriminant discOfValues(const std::vector<Value> &Values) const;
+  /// True when the dispatch table proves pattern discriminant \p Pat
+  /// cannot match a message with discriminant \p D (so the pattern walk
+  /// is skipped entirely).
+  static bool discRejects(const Discriminant &Pat, const Discriminant &D) {
+    if (Pat.Kind != D.Kind)
+      return false;
+    switch (Pat.Kind) {
+    case Discriminant::K::None:
+      return false;
+    case Discriminant::K::UnionArm:
+      return Pat.Arm != D.Arm;
+    case Discriminant::K::Scalar:
+      return Pat.Scalar != D.Scalar;
+    }
     return false;
   }
   /// True when a message with discriminant \p D that \p Case does not
   /// reject certainly matches it (no pattern walk needed).
-  static bool discDecides(const CCase &Case, const MsgDisc &D) {
-    if (!Case.DiscDecides)
-      return false;
-    switch (Case.Disc.Kind) {
-    case CaseDisc::K::None:
-      return true;
-    case CaseDisc::K::UnionArm:
-      return D.Kind == MsgDisc::K::UnionArm;
-    case CaseDisc::K::Scalar:
-      return D.Kind == MsgDisc::K::Scalar;
-    }
-    return false;
+  static bool discDecides(const CCase &Case, const Discriminant &D) {
+    return Case.DiscDecides && (Case.Disc.Kind == Discriminant::K::None ||
+                                Case.Disc.Kind == D.Kind);
   }
   /// The discriminant of every environment variant of \p Chan, built on
   /// first use in a private heap and kept for the machine's lifetime
   /// (the table depends only on the program and the model). Null when a
   /// build faulted (machine error set).
-  const std::vector<MsgDisc> *envDiscs(const ChannelDecl &Chan);
+  const std::vector<Discriminant> *envDiscs(const ChannelDecl &Chan);
 
   /// Sets/clears process \p ProcIndex's bit in the wait mask of every
   /// channel one of its enabled cases blocks on. The masks are an
@@ -637,7 +666,7 @@ private:
   const EnvModel *Env = nullptr;
   /// Per channel id: the discriminant of each environment variant (see
   /// envDiscs). Not part of the dynamic state: survives restore/reset.
-  std::vector<std::optional<std::vector<MsgDisc>>> EnvDiscs;
+  std::vector<std::optional<std::vector<Discriminant>>> EnvDiscs;
   MachineObserver *Obs = nullptr;
 };
 

@@ -6,6 +6,9 @@
 
 #include "TestHelpers.h"
 
+#include <deque>
+#include <utility>
+
 using namespace esp;
 using namespace esp::test;
 
@@ -475,6 +478,234 @@ TEST(Machine, StepResultIsTheNamespaceScopeEnum) {
   M.start();
   esp::StepResult R = M.step();
   EXPECT_TRUE(R == StepResult::Progress || R == StepResult::Quiescent);
+}
+
+//===----------------------------------------------------------------------===//
+// Dispatch errors (§4.2: channel x pattern is a port with one reader)
+//===----------------------------------------------------------------------===//
+
+/// Two readers whose dynamic patterns both accept the one message.
+const char *AmbiguousReaders = R"(
+process r1 {
+  $x: int = 1;
+  in(c, x);
+}
+process r2 {
+  $x: int = 1;
+  in(c, x);
+}
+)";
+const char *AmbiguousWriter = R"(
+process w {
+  out(c, 1);
+}
+)";
+
+std::string ambiguousProgram(bool WriterFirst) {
+  std::string Body = WriterFirst
+                         ? std::string(AmbiguousWriter) + AmbiguousReaders
+                         : std::string(AmbiguousReaders) + AmbiguousWriter;
+  return "channel c: int\n" + Body;
+}
+
+// The ambiguity rule must not depend on whether the writer or a reader
+// reaches the rendezvous first, in execution as in verification.
+TEST(Machine, AmbiguousDispatchIndependentOfDeclarationOrder) {
+  OptOptions Opt;
+  for (bool WriterFirst : {false, true}) {
+    for (bool Optimize : {false, true}) {
+      std::string Label = std::string(WriterFirst ? "writer" : "readers") +
+                          " first" + (Optimize ? ", optimized" : "");
+      auto C = compile(ambiguousProgram(WriterFirst),
+                       Optimize ? &Opt : nullptr);
+      ASSERT_TRUE(C) << Label;
+
+      Machine M(C->Module, MachineOptions());
+      M.start();
+      EXPECT_EQ(M.run(1000), StepResult::Errored) << Label;
+      EXPECT_EQ(M.error().Kind, RuntimeErrorKind::AmbiguousDispatch)
+          << Label << ": " << M.error().Message;
+      EXPECT_EQ(M.stats().Rendezvous, 0u) << Label;
+
+      McOptions Mc;
+      McResult R = checkModel(C->Module, Mc);
+      ASSERT_EQ(R.Verdict, McVerdict::Violation) << Label << R.report();
+      EXPECT_EQ(R.Violation.Kind, RuntimeErrorKind::AmbiguousDispatch)
+          << Label;
+      EXPECT_TRUE(replayTrace(C->Module, Mc, R)) << Label;
+    }
+  }
+}
+
+TEST(Machine, CheckModelFindsAmbiguousDispatchAtAnyJobs) {
+  // The ambiguity shows only after two rendezvous have moved both
+  // readers to their second receive.
+  auto C = compile(R"(
+channel go1: int
+channel go2: int
+channel c: int
+process r1 { in(go1, $a); $x: int = 1; in(c, x); }
+process r2 { in(go2, $a); $x: int = 1; in(c, x); }
+process w { out(go1, 0); out(go2, 0); out(c, 1); }
+)");
+  ASSERT_TRUE(C);
+  for (unsigned Jobs : {1u, 4u}) {
+    McOptions Mc;
+    Mc.Jobs = Jobs;
+    McResult R = checkModel(C->Module, Mc);
+    ASSERT_EQ(R.Verdict, McVerdict::Violation)
+        << "--jobs " << Jobs << "\n" << R.report();
+    EXPECT_EQ(R.Violation.Kind, RuntimeErrorKind::AmbiguousDispatch)
+        << "--jobs " << Jobs;
+    EXPECT_FALSE(R.TraceMoves.empty()) << "--jobs " << Jobs;
+    EXPECT_TRUE(replayTrace(C->Module, Mc, R)) << "--jobs " << Jobs;
+  }
+}
+
+/// External writer over interface case 1 whose binder leaves are the
+/// (ret, v) pairs queued in Events; counts polls and acceptances.
+class PairWriter : public ExternalWriter {
+public:
+  std::deque<std::pair<int64_t, int64_t>> Events;
+  unsigned Produced = 0;
+  unsigned Accepted = 0;
+
+  int isReady() override { return Events.empty() ? 0 : 1; }
+  void produce(int, Heap &, std::vector<Value> &Out) override {
+    ++Produced;
+    Out.push_back(Value::makeInt(Events.front().first));
+    Out.push_back(Value::makeInt(Events.front().second));
+  }
+  void accepted(int) override {
+    ++Accepted;
+    Events.pop_front();
+  }
+};
+
+/// External writer of one scalar, ready while Pending is nonzero.
+class GateWriter : public ExternalWriter {
+public:
+  unsigned Pending = 0;
+
+  int isReady() override { return Pending ? 1 : 0; }
+  void produce(int, Heap &, std::vector<Value> &Out) override {
+    Out.push_back(Value::makeInt(0));
+  }
+  void accepted(int) override { --Pending; }
+};
+
+/// External reader that records the single binder of each message.
+class ValueCollector : public ExternalReader {
+public:
+  std::vector<std::pair<int, int64_t>> Got; // (interface case, value)
+
+  bool isReady() override { return true; }
+  void consume(int CaseIndex, Heap &,
+               const std::vector<Value> &Args) override {
+    Got.push_back({CaseIndex, Args[0].Scalar});
+  }
+};
+
+unsigned processId(const Compilation &C, const std::string &Name) {
+  for (const std::unique_ptr<ProcessDecl> &P : C.Prog->Processes)
+    if (P->Name == Name)
+      return P->ProcessId;
+  ADD_FAILURE() << "no process " << Name;
+  return 0;
+}
+
+TEST(Machine, ExternalReaderMessageMatchingNoInterfaceCaseFails) {
+  auto C = compile(R"(
+channel resC: int
+interface Res(in resC) { Small( 1 ), Large( 2 ) }
+process p { $v = 3; out(resC, v); }
+)");
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  auto Collector = std::make_unique<ValueCollector>();
+  ValueCollector *Got = Collector.get();
+  M.bindReader("Res", std::move(Collector));
+  M.start();
+  EXPECT_EQ(M.run(1000), StepResult::Errored);
+  EXPECT_EQ(M.error().Kind, RuntimeErrorKind::NoMatchingPattern)
+      << M.error().Message;
+  EXPECT_TRUE(Got->Got.empty());
+}
+
+const char *ExternalReplySource = R"(
+type reqT = record of { ret: int, v: int }
+channel reqC: reqT
+interface Req(out reqC) { Post( { $ret, $v } ) }
+channel goC: int
+interface Go(out goC) { Start( $g ) }
+channel resC: int
+interface Res(in resC) { Done( $r ) }
+process a {
+  in(goC, $g);
+  in(reqC, { @, $v });
+  out(resC, v);
+}
+process b {
+  in(reqC, { @, $v });
+  out(resC, v + 100);
+}
+)";
+
+TEST(Machine, ExternalWriterDeliversToDynamicPattern) {
+  auto C = compile(ExternalReplySource);
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  auto Req = std::make_unique<PairWriter>();
+  auto Go = std::make_unique<GateWriter>();
+  auto Res = std::make_unique<ValueCollector>();
+  PairWriter *ReqP = Req.get();
+  ValueCollector *ResP = Res.get();
+  // b's message first: `{ @, $v }` in a must not accept it.
+  ReqP->Events = {{processId(*C, "b"), 7}, {processId(*C, "a"), 5}};
+  Go->Pending = 1;
+  M.bindWriter("Req", std::move(Req));
+  M.bindWriter("Go", std::move(Go));
+  M.bindReader("Res", std::move(Res));
+  M.start();
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(ReqP->Accepted, 2u);
+  std::vector<std::pair<int, int64_t>> Want = {{1, 107}, {1, 5}};
+  EXPECT_EQ(ResP->Got, Want);
+  EXPECT_EQ(M.stats().ExternalDeliveries, 3u);
+  EXPECT_EQ(M.heap().getLiveCount(), 0u);
+}
+
+TEST(Machine, UnacceptedExternalMessageIsReofferedWithoutLeak) {
+  auto C = compile(ExternalReplySource);
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  auto Req = std::make_unique<PairWriter>();
+  auto Go = std::make_unique<GateWriter>();
+  auto Res = std::make_unique<ValueCollector>();
+  PairWriter *ReqP = Req.get();
+  GateWriter *GoP = Go.get();
+  ValueCollector *ResP = Res.get();
+  // Addressed to a, which waits on goC until the gate opens.
+  ReqP->Events = {{processId(*C, "a"), 5}};
+  M.bindWriter("Req", std::move(Req));
+  M.bindWriter("Go", std::move(Go));
+  M.bindReader("Res", std::move(Res));
+  M.start();
+  EXPECT_EQ(M.run(1000), StepResult::Quiescent) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Quiescent) << M.error().Message;
+  // Offered on every poll, accepted by nobody, and freed each time.
+  EXPECT_GE(ReqP->Produced, 2u);
+  EXPECT_EQ(ReqP->Accepted, 0u);
+  EXPECT_EQ(ReqP->Events.size(), 1u);
+  EXPECT_EQ(M.heap().getLiveCount(), 0u);
+  EXPECT_EQ(M.stats().ExternalDeliveries, 0u);
+
+  GoP->Pending = 1;
+  EXPECT_EQ(M.run(1000), StepResult::Quiescent) << M.error().Message;
+  EXPECT_EQ(ReqP->Accepted, 1u);
+  std::vector<std::pair<int, int64_t>> Want = {{1, 5}};
+  EXPECT_EQ(ResP->Got, Want);
+  EXPECT_EQ(M.heap().getLiveCount(), 0u);
 }
 
 } // namespace

@@ -231,4 +231,54 @@ TEST(McEnv, RefutableReaderPatternsKeepCounts) {
   }
 }
 
+// Machine::isDeadlocked is the one deadlock predicate: the search and
+// replayTrace both apply it to the moves they enumerated. A harness whose
+// finite environment budget is spent is quiescent for both; blocked
+// processes with no partner are a deadlock for both.
+TEST(McEnv, SpentEnvBudgetIsNotADeadlock) {
+  auto C = compile(R"(
+channel reqC: int
+interface Req(out reqC) { Post( $v ) }
+process p { while (true) { in(reqC, $v); } }
+)");
+  ASSERT_TRUE(C);
+  Harness H = makeHarness(*C->Prog, {"p"});
+  MachineOptions Opts;
+  Opts.DeepCopyTransfers = true;
+  Opts.EnvSendBudget = 1;
+  Machine M(H.Module, Opts);
+  M.setEnvModel(H.Env.get());
+  M.start();
+  std::vector<Move> Moves = M.enumerateMoves();
+  ASSERT_FALSE(Moves.empty());
+  EXPECT_FALSE(M.isDeadlocked(Moves));
+  M.applyMove(Moves[0]);
+  Moves = M.enumerateMoves();
+  EXPECT_TRUE(Moves.empty());
+  EXPECT_FALSE(M.isDeadlocked(Moves)); // Budget spent, not deadlocked.
+
+  McOptions Mc;
+  Mc.EnvSendBudget = 1;
+  McResult R = H.check(Mc);
+  EXPECT_EQ(R.Verdict, McVerdict::OK) << R.report();
+
+  auto Cycle = compile(R"(
+channel x: int
+channel y: int
+process a { in(x, $v); out(y, 1); }
+process b { in(y, $v); out(x, 1); }
+)");
+  ASSERT_TRUE(Cycle);
+  Machine D(Cycle->Module, Opts);
+  D.start();
+  EXPECT_TRUE(D.isDeadlocked(D.enumerateMoves()));
+  for (unsigned Jobs : {1u, 4u}) {
+    Mc.Jobs = Jobs;
+    McResult Dead = checkModel(Cycle->Module, Mc);
+    ASSERT_EQ(Dead.Verdict, McVerdict::Violation) << Dead.report();
+    EXPECT_TRUE(Dead.Deadlock);
+    EXPECT_TRUE(replayTrace(Cycle->Module, Mc, Dead));
+  }
+}
+
 } // namespace
